@@ -13,13 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .convergence import ConvergenceTrace, TraceRecorder
+from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, NonConvergenceError
 from .spd_core import (
     SpdMatrix,
     WeightVector,
+    _check_same_dimension,
     _power_sandwich,
-    _symmetrize,
+    _spectral,
+    _weighted_sum,
     geodesic,
     matrix_function,
     riemannian_distance,
@@ -29,9 +31,6 @@ from .spd_core import (
 
 AHM_DEFAULT_TOLERANCE = 1e-12
 AHM_DEFAULT_MAX_ITERATIONS = 64
-
-#: Noise floor for order estimation on Riemannian-distance error proxies.
-MATRIX_ORDER_FLOOR = 1e-13
 
 #: Below this |p| the Q_p family evaluates its log-Euclidean limit branch.
 Q_POWER_P_CUTOFF = 1e-8
@@ -52,7 +51,7 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
     A, H = X, Y
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     gap = riemannian_distance(A, H)
-    recorder.record(0, A.array, gap)
+    recorder.record(0, None, gap)
     t = 0
     while gap > tol:
         if t >= max_iter:
@@ -66,7 +65,7 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
         )
         t += 1
         gap = riemannian_distance(A, H)
-        recorder.record(t, A.array, gap)
+        recorder.record(t, None, gap)
     limit = SpdMatrix._trusted(0.5 * (A.array + H.array))
     return limit, recorder.build(converged=True, iterations_used=t)
 
@@ -87,14 +86,8 @@ def log_euclidean_mean(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     Agrees with the weighted geometric mean on commuting inputs but
     differs from G(X, Y) in general.
     """
-    Ps = list(Ps)
-    if len(Ps) != len(w):
-        raise DomainError(f"{len(Ps)} matrices but {len(w)} weights")
-    acc = np.zeros_like(Ps[0].array)
-    for wi, P in zip(w, Ps):
-        acc = acc + wi * matrix_function(P, np.log)
-    lam, vecs = np.linalg.eigh(_symmetrize(acc))
-    return SpdMatrix._trusted((vecs * np.exp(lam)) @ vecs.T)
+    logs = _weighted_sum(Ps, w, lambda P: matrix_function(P, np.log))
+    return SpdMatrix._trusted(_spectral(logs, np.exp))
 
 
 def q_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:
@@ -106,12 +99,12 @@ def q_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:
     """
     if not np.isfinite(p):
         raise DomainError(f"power must be finite, got {p!r}")
+    _check_same_dimension(X, Y)
     if abs(p) < Q_POWER_P_CUTOFF:
         return log_euclidean_mean([X, Y], WeightVector.uniform(2))
     xp = matrix_function(X, lambda lam: np.power(lam, p))
     yp = matrix_function(Y, lambda lam: np.power(lam, p))
-    lam, vecs = np.linalg.eigh(_symmetrize(0.5 * (xp + yp)))
-    return SpdMatrix._trusted((vecs * np.power(lam, 1.0 / p)) @ vecs.T)
+    return SpdMatrix._trusted(_spectral(0.5 * (xp + yp), lambda lam: np.power(lam, 1.0 / p)))
 
 
 def lim_palfia_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:

@@ -178,22 +178,30 @@ def _maybe_write_trace(request: MeanRequest, trace: ConvergenceTrace | None) -> 
 # Command implementations
 # ---------------------------------------------------------------------------
 
+def _limits(request: MeanRequest, tol: str | None, cap: str) -> dict:
+    """The tolerance and budget the user set, as keyword arguments named for the operation."""
+    kwargs = {}
+    if tol is not None and request.tolerance is not None:
+        kwargs[tol] = request.tolerance
+    if request.max_iterations is not None:
+        kwargs[cap] = request.max_iterations
+    return kwargs
+
+
 def _run_scalar(request: MeanRequest) -> int:
     base, param = _validate_kind("scalar", request.kind)
     x = float(request.inputs["x"])
     y = float(request.inputs["y"])
-    tol = request.tolerance if request.tolerance is not None else scalar_means.DEFAULT_TOLERANCE
-    cap = request.max_iterations if request.max_iterations is not None \
-        else scalar_means.DEFAULT_MAX_ITERATIONS
+    limits = _limits(request, "tolerance", "max_iterations")
     trace = None
     if base in ("arithmetic", "geometric", "harmonic"):
         value = scalar_means.pythagorean_mean(base, x, y)
     elif base == "power":
         value = scalar_means.power_mean(param, x, y)
     elif base == "agm":
-        value, trace = scalar_means.agm(x, y, tolerance=tol, max_iterations=cap)
+        value, trace = scalar_means.agm(x, y, **limits)
     else:
-        value, trace = scalar_means.ahm(x, y, tolerance=tol, max_iterations=cap)
+        value, trace = scalar_means.ahm(x, y, **limits)
     _emit_result(request, value, trace)
     _maybe_write_trace(request, trace)
     return 0
@@ -212,12 +220,9 @@ def _run_pair(request: MeanRequest) -> int:
     if len(mats) != 2:
         raise CliUsageError(f"command 'pair' needs exactly 2 matrices, got {len(mats)}")
     X, Y = mats[0], mats[1]
-    tol = request.tolerance if request.tolerance is not None else binary_means.AHM_DEFAULT_TOLERANCE
-    cap = request.max_iterations if request.max_iterations is not None \
-        else binary_means.AHM_DEFAULT_MAX_ITERATIONS
     trace = None
     if base == "ahm":
-        mean, trace = binary_means.ahm_iteration(X, Y, tol=tol, max_iter=cap)
+        mean, trace = binary_means.ahm_iteration(X, Y, **_limits(request, "tol", "max_iter"))
     elif base == "lem":
         mean = binary_means.log_euclidean_mean([X, Y], WeightVector.uniform(2))
     elif base == "qpower":
@@ -230,32 +235,20 @@ def _run_pair(request: MeanRequest) -> int:
 def _run_multi(request: MeanRequest) -> int:
     base, _ = _validate_kind("multi", request.kind)
     mats = parse_matrix_set(request.inputs)
-    tol = request.tolerance
-    cap = request.max_iterations
     if base == "karcher":
         start = weighted_arithmetic(list(mats), WeightVector.uniform(len(mats)))
-        mean, trace = multi_means.karcher_refine(
-            start, mats,
-            tol=tol if tol is not None else 1e-10,
-            max_iter=cap if cap is not None else multi_means.KARCHER_REFINE_MAX_ITERATIONS,
-        )
+        mean, trace = multi_means.karcher_refine(start, mats, **_limits(request, "tol", "max_iter"))
     elif base == "holbrook":
-        mean, trace = multi_means.holbrook_inductive_mean(
-            mats, steps=cap if cap is not None else 10_000)
+        mean, trace = multi_means.holbrook_inductive_mean(mats, **_limits(request, None, "steps"))
     elif base == "circumcenter":
-        mean, trace = multi_means.riemannian_circumcenter(
-            mats, steps=cap if cap is not None else multi_means.CIRCUMCENTER_DEFAULT_STEPS)
+        mean, trace = multi_means.riemannian_circumcenter(mats, **_limits(request, None, "steps"))
     elif base == "median":
-        mean, trace = multi_means.bacak_median(
-            mats, sweeps=cap if cap is not None else multi_means.MEDIAN_DEFAULT_SWEEPS)
+        mean, trace = multi_means.bacak_median(mats, **_limits(request, None, "sweeps"))
     else:
         params = (RecursiveMeanParams.alm(len(mats)) if base == "alm"
                   else RecursiveMeanParams.bmp(len(mats)))
         mean, trace = multi_means.recursive_geometric_mean(
-            mats, params,
-            tol=tol if tol is not None else 1e-12,
-            max_rounds=cap if cap is not None else multi_means.RECURSIVE_DEFAULT_MAX_ROUNDS,
-        )
+            mats, params, **_limits(request, "tol", "max_rounds"))
     return _matrix_result(request, mean, trace)
 
 
@@ -392,24 +385,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _env_float(name: str) -> float | None:
+def _env(name: str, kind: type):
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise CliUsageError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliUsageError(f"{name} must be an integer, got {raw!r}") from None
+        noun = "a number" if kind is float else "an integer"
+        raise CliUsageError(f"{name} must be {noun}, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -477,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def request_from_args(args: argparse.Namespace) -> MeanRequest:
-    tolerance = args.tolerance if args.tolerance is not None else _env_float(ENV_TOLERANCE)
+    tolerance = args.tolerance if args.tolerance is not None else _env(ENV_TOLERANCE, float)
     max_iterations = (args.max_iterations if args.max_iterations is not None
-                      else _env_int(ENV_MAX_ITERS))
-    seed = args.seed if args.seed is not None else _env_int(ENV_SEED)
+                      else _env(ENV_MAX_ITERS, int))
+    seed = args.seed if args.seed is not None else _env(ENV_SEED, int)
     command = args.command
     if command == "scalar":
         inputs: str | dict | None = {"x": args.x, "y": args.y}

@@ -11,13 +11,16 @@ import numpy as np
 #: below it the ratios q_t are dominated by roundoff, not by the iteration.
 NOISE_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
 
+#: Noise floor for order estimation on matrix error proxies (distances, spreads).
+MATRIX_ORDER_FLOOR = 1e-13
+
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One recorded iterate: step index, optional snapshot, error proxy."""
+    """One recorded iterate: step index, scalar iterate (None for matrices), error proxy."""
 
     step: int
-    value: float | np.ndarray | None
+    value: float | None
     error: float
 
 
@@ -25,7 +28,7 @@ class TraceStep:
 class ConvergenceTrace:
     """Log of an iterative mean computation.
 
-    ``steps`` holds (step index, value-or-matrix snapshot, error proxy)
+    ``steps`` holds (step index, scalar value or None, error proxy)
     records; the error proxy is whatever gap the iteration monitors
     (relative scalar gap, Riemannian distance, spread, objective).
     ``order_estimate`` is the trailing-window empirical convergence order,

@@ -14,26 +14,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .convergence import ConvergenceTrace, TraceRecorder
+from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, NonConvergenceError, ShapeError
 from .spd_core import (
     SpdMatrix,
     WeightVector,
-    _symmetrize,
+    _check_same_dimension,
+    _exp_at,
+    _spectral,
+    _whiten,
     geodesic,
-    matrix_function,
     riemannian_distance,
-    sqrt_pair,
 )
 
 KARCHER_REFINE_MAX_ITERATIONS = 500
+HOLBROOK_DEFAULT_STEPS = 10_000
 CIRCUMCENTER_DEFAULT_STEPS = 10_000
 MEDIAN_DEFAULT_SWEEPS = 1_000
 MEDIAN_DISTANCE_GUARD = 1e-14
 RECURSIVE_DEFAULT_MAX_ROUNDS = 100
-
-#: Noise floor for order estimation on spread/objective error proxies.
-MATRIX_ORDER_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,12 @@ class RecursiveMeanParams:
 
 def _weighted_log_sum(G: SpdMatrix, Ps: MatrixTuple, weights: np.ndarray) -> np.ndarray:
     """Weighted sum of the whitened logs log(G^{-1/2} P_i G^{-1/2})."""
-    _, risq = sqrt_pair(G)
+    whitened = _whiten(G, *Ps)
     acc = np.zeros_like(G.array)
-    for w, P in zip(weights, Ps):
-        acc = acc + w * matrix_function(SpdMatrix._trusted(risq @ P.array @ risq), np.log)
+    for w, W in zip(weights, whitened):
+        acc = acc + w * _spectral(W, np.log)
+    if not np.all(np.isfinite(acc)):
+        raise DomainError("function is not finite on the spectrum")
     return acc
 
 
@@ -120,8 +121,7 @@ def karcher_residual(G: SpdMatrix, Ps) -> float:
     mean of the tuple.
     """
     Ps = as_matrix_tuple(Ps)
-    if G.dimension != Ps.dimension:
-        raise ShapeError(f"dimension mismatch: {G.dimension} vs {Ps.dimension}")
+    _check_same_dimension(G, Ps)
     n = len(Ps)
     acc = _weighted_log_sum(G, Ps, np.ones(n))
     return float(np.linalg.norm(acc) / n)
@@ -138,8 +138,7 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
     matrices this lands on the geodesic point X #_t Y.
     """
     Ps = as_matrix_tuple(Ps)
-    if G0.dimension != Ps.dimension:
-        raise ShapeError(f"dimension mismatch: {G0.dimension} vs {Ps.dimension}")
+    _check_same_dimension(G0, Ps)
     if w is None:
         w = WeightVector.uniform(len(Ps))
     if len(w) != len(Ps):
@@ -152,20 +151,17 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
     for t in range(1, max_iter + 1):
         tangent = _weighted_log_sum(G, Ps, weights)
         residual = float(np.linalg.norm(tangent))
-        recorder.record(t, G.array, residual)
+        recorder.record(t, None, residual)
         if residual <= tol:
             return G, recorder.build(converged=True, iterations_used=t - 1)
-        rg, _ = sqrt_pair(G)
-        lam, vecs = np.linalg.eigh(_symmetrize(tangent))
-        step = (vecs * np.exp(lam)) @ vecs.T
-        G = SpdMatrix._trusted(rg @ _symmetrize(step) @ rg)
+        G = _exp_at(G, tangent)
     raise NonConvergenceError(
         f"Karcher refinement failed to reach {tol} within {max_iter} iterations",
         trace=recorder.build(converged=False, iterations_used=max_iter),
     )
 
 
-def holbrook_inductive_mean(Ps, steps: int) -> tuple[SpdMatrix, ConvergenceTrace]:
+def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[SpdMatrix, ConvergenceTrace]:
     """Cyclic inductive approximation of the n-matrix geometric mean.
 
     M_1 = P_1 and M_{t+1} = M_t #_{1/(t+1)} P_{cycle(t)}, visiting
@@ -176,14 +172,13 @@ def holbrook_inductive_mean(Ps, steps: int) -> tuple[SpdMatrix, ConvergenceTrace
     """
     Ps = as_matrix_tuple(Ps)
     n = len(Ps)
+    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     if n == 1:
-        recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-        recorder.record(0, Ps[0].array, 0.0)
+        recorder.record(0, None, 0.0)
         return Ps[0], recorder.build(converged=True, iterations_used=0)
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
     M = Ps[0]
-    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     for t in range(1, steps + 1):
         M = geodesic(M, Ps[t % n], 1.0 / (t + 1))
         if t % n == 0:
@@ -209,7 +204,7 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     C = Ps[0]
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     if len(Ps) == 1:
-        recorder.record(0, C.array, 0.0)
+        recorder.record(0, None, 0.0)
         return C, recorder.build(converged=True, iterations_used=0)
     for t in range(1, steps + 1):
         distances = [riemannian_distance(C, P) for P in Ps]

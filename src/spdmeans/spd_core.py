@@ -1,10 +1,13 @@
-"""Validated SPD matrices, spectral calculus, and the trace-metric geometry.
+"""Validated SPD matrices, the spectral kernel layer, and the trace-metric geometry.
 
-Everything downstream (binary and n-matrix means, sampling experiments)
-goes through the :class:`SpdMatrix` type and the handful of operations
-here: spectral matrix functions, the affine-invariant Riemannian distance,
-the weighted-geometric-mean geodesic, weighted arithmetic/harmonic means,
-the Loewner order, and the S-divergence.
+This is the only module that computes an eigendecomposition.  Three
+private 2-D kernels carry the spectral calculus of every mean:
+``_spectral`` (U f(lambda) U^T from a cached or fresh decomposition; the
+product itself is ``_assemble``), ``_whiten`` (X^{-1/2} Y X^{-1/2}) and
+``_exp_at`` (M^{1/2} exp(S) M^{1/2}).  On them, behind the validated
+:class:`SpdMatrix`, sit spectral matrix functions, the affine-invariant
+Riemannian distance, the weighted-geometric-mean geodesic, weighted
+arithmetic/harmonic means, the Loewner order, and the S-divergence.
 """
 
 from __future__ import annotations
@@ -154,6 +157,26 @@ def _check_same_dimension(*mats: SpdMatrix) -> int:
     return d
 
 
+def _assemble(vecs: np.ndarray, values: np.ndarray, divide: bool = False) -> np.ndarray:
+    """U diag(values) U^T, symmetrized; ``divide`` gives U diag(values)^{-1} U^T by
+    dividing the columns, which rounds differently from multiplying by 1/values."""
+    return _symmetrize((vecs / values if divide else vecs * values) @ vecs.T)
+
+
+def _spectral(source, f: Callable) -> np.ndarray:
+    """U diag(f(lambda)) U^T for an SpdMatrix (cached decomposition) or a
+    symmetric array (fresh eigh)."""
+    lam, vecs = source.eigen() if isinstance(source, SpdMatrix) else np.linalg.eigh(source)
+    return _assemble(vecs, f(lam))
+
+
+def _positive(lam: np.ndarray) -> np.ndarray:
+    """Pass whitened eigenvalues through, or raise if roundoff made one nonpositive."""
+    if np.any(lam <= 0):
+        raise NumericError("whitened matrix lost positive definiteness")
+    return lam
+
+
 def matrix_function(P: SpdMatrix, f: Callable) -> np.ndarray:
     """Apply a scalar function to P through its symmetric eigendecomposition.
 
@@ -171,18 +194,24 @@ def matrix_function(P: SpdMatrix, f: Callable) -> np.ndarray:
         flam = np.array([float(f(x)) for x in lam])
     if not np.all(np.isfinite(flam)):
         raise DomainError("function is not finite on the spectrum")
-    return _symmetrize((vecs * flam) @ vecs.T)
+    return _assemble(vecs, flam)
 
 
 def spd_inverse(P: SpdMatrix) -> SpdMatrix:
     return SpdMatrix._trusted(matrix_function(P, lambda x: 1.0 / x))
 
 
-def sqrt_pair(P: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(P^{1/2}, P^{-1/2}) from one decomposition of P."""
-    lam, vecs = P.eigen()
-    s = np.sqrt(lam)
-    return _symmetrize((vecs * s) @ vecs.T), _symmetrize((vecs / s) @ vecs.T)
+def _whiten(X: SpdMatrix, *Ys: SpdMatrix) -> list[np.ndarray]:
+    """[X^{-1/2} Y X^{-1/2} for each Y], from X's cached decomposition."""
+    lam, vecs = X.eigen()
+    rxi = _assemble(vecs, np.sqrt(lam), divide=True)
+    return [_symmetrize(rxi @ Y.array @ rxi) for Y in Ys]
+
+
+def _exp_at(M: SpdMatrix, S: np.ndarray) -> SpdMatrix:
+    """Exponential map at M of a symmetric tangent S: M^{1/2} exp(S) M^{1/2}."""
+    rm = _spectral(M, np.sqrt)
+    return SpdMatrix._trusted(rm @ _spectral(S, np.exp) @ rm)
 
 
 def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
@@ -192,23 +221,17 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
     root-sum-square of the logs of the whitened eigenvalues.
     """
     _check_same_dimension(P1, P2)
-    _, risq = sqrt_pair(P1)
-    whitened = _symmetrize(risq @ P2.array @ risq)
-    lam = np.linalg.eigvalsh(whitened)
-    if np.any(lam <= 0):
-        raise NumericError("whitened matrix lost positive definiteness")
+    (whitened,) = _whiten(P1, P2)
+    lam = _positive(np.linalg.eigvalsh(whitened))
     return float(np.sqrt(np.sum(np.log(lam) ** 2)))
 
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     """X^{1/2} (X^{-1/2} Y X^{-1/2})^t X^{1/2} without range checks on t."""
-    rx, rxi = sqrt_pair(X)
-    inner = _symmetrize(rxi @ Y.array @ rxi)
-    lam, vecs = np.linalg.eigh(inner)
-    if np.any(lam <= 0):
-        raise NumericError("whitened matrix lost positive definiteness")
-    powered = (vecs * np.power(lam, t)) @ vecs.T
-    return SpdMatrix._trusted(rx @ _symmetrize(powered) @ rx)
+    (inner,) = _whiten(X, Y)
+    powered = _spectral(inner, lambda lam: np.power(_positive(lam), t))
+    rx = _spectral(X, np.sqrt)
+    return SpdMatrix._trusted(rx @ powered @ rx)
 
 
 def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
@@ -228,28 +251,27 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     return _power_sandwich(X, Y, t)
 
 
-def weighted_arithmetic(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
-    """Weighted arithmetic matrix mean, sum of w_i P_i."""
+def _weighted_sum(Ps: Sequence[SpdMatrix], w: WeightVector, term: Callable) -> np.ndarray:
+    """sum_i w_i term(P_i), once the counts and dimensions are checked to agree."""
     Ps = list(Ps)
     if len(Ps) != len(w):
         raise ShapeError(f"{len(Ps)} matrices but {len(w)} weights")
     _check_same_dimension(*Ps)
     acc = np.zeros_like(Ps[0].array)
     for wi, P in zip(w, Ps):
-        acc = acc + wi * P.array
-    return SpdMatrix._trusted(acc)
+        acc = acc + wi * term(P)
+    return acc
+
+
+def weighted_arithmetic(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
+    """Weighted arithmetic matrix mean, sum of w_i P_i."""
+    return SpdMatrix._trusted(_weighted_sum(Ps, w, lambda P: P.array))
 
 
 def weighted_harmonic(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """Weighted harmonic matrix mean, the inverse of the weighted mean of inverses."""
-    Ps = list(Ps)
-    if len(Ps) != len(w):
-        raise ShapeError(f"{len(Ps)} matrices but {len(w)} weights")
-    _check_same_dimension(*Ps)
-    acc = np.zeros_like(Ps[0].array)
-    for wi, P in zip(w, Ps):
-        acc = acc + wi * matrix_function(P, lambda x: 1.0 / x)
-    return spd_inverse(SpdMatrix._trusted(acc))
+    inverses = _weighted_sum(Ps, w, lambda P: matrix_function(P, lambda x: 1.0 / x))
+    return spd_inverse(SpdMatrix._trusted(inverses))
 
 
 def loewner_leq(P: SpdMatrix, Q: SpdMatrix, tolerance: float = DEFAULT_PD_TOLERANCE) -> bool:

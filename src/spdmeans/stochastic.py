@@ -19,11 +19,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .convergence import ConvergenceTrace, TraceRecorder
+from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
-from .multi_means import MATRIX_ORDER_FLOOR
 from .scalar_means import QuasiArithmeticGenerator
-from .spd_core import SpdMatrix, _symmetrize, geodesic, riemannian_distance, sqrt_pair
+from .spd_core import SpdMatrix, _exp_at, _symmetrize, geodesic, riemannian_distance
 
 #: Tangent samples are clipped to this many standard deviations, which
 #: keeps the sampling distribution inside a bounded support.
@@ -68,12 +67,6 @@ def _tangent_sample(rng: np.random.Generator, d: int, scale: float) -> np.ndarra
     return _symmetrize(s + np.triu(s, 1).T)
 
 
-def _push_to_cone(center: SpdMatrix, tangent: np.ndarray) -> SpdMatrix:
-    rm, _ = sqrt_pair(center)
-    lam, vecs = np.linalg.eigh(tangent)
-    return SpdMatrix._trusted(rm @ ((vecs * np.exp(lam)) @ vecs.T) @ rm)
-
-
 def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     """Draw an antithetic batch X_i = M^{1/2} exp(S_i) M^{1/2}.
 
@@ -87,8 +80,8 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     out: list[SpdMatrix] = []
     for _ in range(config.count // 2):
         s = _tangent_sample(rng, config.dimension, config.scale)
-        out.append(_push_to_cone(config.center, s))
-        out.append(_push_to_cone(config.center, -s))
+        out.append(_exp_at(config.center, s))
+        out.append(_exp_at(config.center, -s))
     return out
 
 

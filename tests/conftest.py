@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spdmeans import SpdMatrix
-from spdmeans.spd_core import _symmetrize, sqrt_pair
+from spdmeans.spd_core import _exp_at, _symmetrize
 
 
 def random_spd(rng: np.random.Generator, d: int, spread: float = 1.0) -> SpdMatrix:
@@ -29,9 +29,7 @@ def perturb_spd(P: SpdMatrix, radius: float, rng: np.random.Generator) -> SpdMat
     d = P.dimension
     s = _symmetrize(rng.normal(size=(d, d)))
     s *= radius / np.linalg.norm(s)
-    rm, _ = sqrt_pair(P)
-    lam, vecs = np.linalg.eigh(s)
-    return SpdMatrix(rm @ ((vecs * np.exp(lam)) @ vecs.T) @ rm)
+    return _exp_at(P, s)
 
 
 def psd_decrement(P: SpdMatrix, rng: np.random.Generator, frac: float = 0.3) -> SpdMatrix:

@@ -84,6 +84,7 @@ def test_ahm_trace_records_riemannian_gap(rng):
     _, trace = ahm_iteration(x, y)
     assert trace.steps[0].error == pytest.approx(riemannian_distance(x, y), rel=1e-12)
     assert trace.final_error <= 1e-12
+    assert all(step.value is None for step in trace.steps)
 
 
 def test_ahm_quadratic_order(rng):

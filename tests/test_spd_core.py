@@ -11,8 +11,10 @@ from spdmeans import (
     SpdMatrix,
     WeightVector,
     geodesic,
+    log_euclidean_mean,
     loewner_leq,
     matrix_function,
+    q_power_mean,
     riemannian_distance,
     s_divergence,
     spd_inverse,
@@ -204,8 +206,16 @@ def test_distance_congruence_invariance(rng):
 
 
 def test_distance_shape_mismatch():
+    a, b = SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))
     with pytest.raises(ShapeError):
-        riemannian_distance(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3)))
+        riemannian_distance(a, b)
+    with pytest.raises(ShapeError):
+        log_euclidean_mean([a, b], WeightVector.uniform(2))
+    with pytest.raises(ShapeError):
+        log_euclidean_mean([a, a, a], WeightVector.uniform(2))
+    for p in (0.5, 1e-9):  # the power branch and the log-Euclidean limit branch
+        with pytest.raises(ShapeError):
+            q_power_mean(a, b, p)
 
 
 # ---------------------------------------------------------------------------
