@@ -9,12 +9,14 @@ solver cross-validating it.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Sequence
 
 import numpy as np
 
 from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
+from .scalar_means import POWER_MEAN_P_CUTOFF
 from .spd_core import (
     SpdMatrix,
     WeightVector,
@@ -32,9 +34,6 @@ from .spd_core import (
 AHM_DEFAULT_TOLERANCE = 1e-12
 AHM_DEFAULT_MAX_ITERATIONS = 64
 
-#: Below this |p| the Q_p family evaluates its log-Euclidean limit branch.
-Q_POWER_P_CUTOFF = 1e-8
-
 PICARD_DEFAULT_TOLERANCE = 1e-12
 PICARD_DEFAULT_MAX_ITERATIONS = 200
 
@@ -47,27 +46,18 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
     started at (X, Y); stops when the Riemannian gap rho(A_t, H_t)
     reaches ``tol``.  The common limit is the geometric mean G(X, Y).
     """
+    recorder = TraceRecorder(tol, max_iter, "matrix AHM", order_floor=MATRIX_ORDER_FLOOR)
     half = WeightVector.uniform(2)
     A, H = X, Y
-    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    gap = riemannian_distance(A, H)
-    recorder.record(0, None, gap)
     t = 0
-    while gap > tol:
-        if t >= max_iter:
-            raise NonConvergenceError(
-                f"matrix AHM failed to reach {tol} within {max_iter} iterations",
-                trace=recorder.build(converged=False, iterations_used=t),
-            )
+    while recorder.record(t, None, riemannian_distance(A, H)):
         A, H = (
             weighted_arithmetic([A, H], half),
             spd_inverse(weighted_arithmetic([spd_inverse(A), spd_inverse(H)], half)),
         )
         t += 1
-        gap = riemannian_distance(A, H)
-        recorder.record(t, None, gap)
     limit = SpdMatrix._trusted(0.5 * (A.array + H.array))
-    return limit, recorder.build(converged=True, iterations_used=t)
+    return limit, recorder.build()
 
 
 def geometric_mean_closed_form(X: SpdMatrix, Y: SpdMatrix) -> SpdMatrix:
@@ -95,12 +85,12 @@ def q_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:
 
     Q_1 is the arithmetic mean, Q_{-1} the harmonic mean, and the p -> 0
     limit is the log-Euclidean mean, used directly when |p| falls below
-    ``Q_POWER_P_CUTOFF``.
+    ``POWER_MEAN_P_CUTOFF``.
     """
     if not np.isfinite(p):
         raise DomainError(f"power must be finite, got {p!r}")
     _check_same_dimension(X, Y)
-    if abs(p) < Q_POWER_P_CUTOFF:
+    if abs(p) < POWER_MEAN_P_CUTOFF:
         return log_euclidean_mean([X, Y], WeightVector.uniform(2))
     xp = matrix_function(X, lambda lam: np.power(lam, p))
     yp = matrix_function(Y, lambda lam: np.power(lam, p))
@@ -143,19 +133,15 @@ def lim_palfia_power_mean_picard(
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"power mean parameter must lie in (0, 1], got {p!r}")
+    recorder = TraceRecorder(tol, max_iter, f"Picard iteration for p={p}", unit="steps",
+                             order_floor=MATRIX_ORDER_FLOOR)
     M = weighted_arithmetic([X, Y], WeightVector.uniform(2))
-    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    for t in range(1, max_iter + 1):
-        nxt = SpdMatrix._trusted(0.5 * (geodesic(M, X, p).array + geodesic(M, Y, p).array))
-        step = float(np.linalg.norm(nxt.array - M.array) / np.linalg.norm(nxt.array))
-        recorder.record(t, None, step)
-        M = nxt
-        if step <= tol:
-            return M, recorder.build(converged=True, iterations_used=t)
-    raise NonConvergenceError(
-        f"Picard iteration for p={p} failed to reach {tol} within {max_iter} steps",
-        trace=recorder.build(converged=False, iterations_used=max_iter),
-    )
+    for t in count(1):
+        previous = M
+        M = SpdMatrix._trusted(0.5 * (geodesic(M, X, p).array + geodesic(M, Y, p).array))
+        step = float(np.linalg.norm(M.array - previous.array) / np.linalg.norm(M.array))
+        if not recorder.record(t, None, step):
+            return M, recorder.build()
 
 
 def power_mean_limit_study(X: SpdMatrix, Y: SpdMatrix,

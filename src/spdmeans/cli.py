@@ -35,6 +35,13 @@ ENV_TOLERANCE = "SPDMEANS_TOL"
 ENV_MAX_ITERS = "SPDMEANS_MAX_ITERS"
 ENV_SEED = "SPDMEANS_SEED"
 
+#: Option defaults of the ``sample`` and ``bench`` commands, read both by
+#: the argument parser and by requests built in code.
+SAMPLE_DEFAULTS = {"experiment": "lln", "dimension": 3, "scale": 0.3, "count": 10_000,
+                   "num_seeds": 1, "trials": 1000, "mu": 0.3, "sigma": 0.5, "power": 0.0,
+                   "center": None}
+BENCH_DEFAULTS = {"dimension": 1, "size": 3, "trials": 10}
+
 #: kind -> (commands it serves, description)
 REGISTRY: dict[str, tuple[tuple[str, ...], str]] = {
     "arithmetic": (("scalar",), "arithmetic mean (x + y)/2"),
@@ -253,22 +260,20 @@ def _run_multi(request: MeanRequest) -> int:
 
 
 def _run_sample(request: MeanRequest) -> int:
-    opts = request.inputs or {}
+    opts = {**SAMPLE_DEFAULTS, **(request.inputs or {})}
     seed = request.seed if request.seed is not None else 0
-    experiment = opts.get("experiment", "lln")
-    if experiment == "clt":
-        gen = scalar_means.power_generator(opts.get("power", 0.0))
+    if opts["experiment"] == "clt":
         report = stochastic.qa_expectation_experiment(
-            gen,
-            stochastic.Lognormal(mu=opts.get("mu", 0.3), sigma=opts.get("sigma", 0.5)),
-            n=opts.get("count", 1000),
-            trials=opts.get("trials", 1000),
+            scalar_means.power_generator(opts["power"]),
+            stochastic.Lognormal(mu=opts["mu"], sigma=opts["sigma"]),
+            n=opts["count"],
+            trials=opts["trials"],
             seed=seed,
         )
         _emit_report(request, report.to_dict())
         return 0
-    dimension = opts.get("dimension", 3)
-    if opts.get("center"):
+    dimension = opts["dimension"]
+    if opts["center"]:
         center_set = parse_matrix_set(opts["center"])
         if len(center_set) != 1:
             raise CliUsageError("--center file must hold exactly one matrix")
@@ -276,10 +281,10 @@ def _run_sample(request: MeanRequest) -> int:
         dimension = center.dimension
     else:
         center = SpdMatrix(np.eye(dimension))
-    count = opts.get("count", 10_000)
+    count = opts["count"]
     counts = [c for c in (10, 100, 1000, 10_000, 100_000) if c < count] + [count]
-    seeds = list(range(seed, seed + opts.get("num_seeds", 1)))
-    report = stochastic.lln_experiment(center, opts.get("scale", 0.3), counts, seeds)
+    seeds = list(range(seed, seed + opts["num_seeds"]))
+    report = stochastic.lln_experiment(center, opts["scale"], counts, seeds)
     _emit_report(request, report.to_dict())
     return 0
 
@@ -321,18 +326,17 @@ def _bench_instances(kind: str, dimension: int, size: int, trials: int,
 
 
 def _run_bench(request: MeanRequest) -> int:
-    opts = request.inputs or {}
+    opts = {**BENCH_DEFAULTS, **(request.inputs or {})}
     kind = request.kind or "agm"
     base, _ = _split_kind(kind)
     if base not in ("agm", "ahm", "bmp", "alm"):
         raise CliUsageError(
             f"command 'bench' supports kinds agm, ahm, bmp, alm; got {kind!r}")
-    dimension = opts.get("dimension", 1)
+    dimension = opts["dimension"]
     if base in ("bmp", "alm") and dimension < 2:
         dimension = 3
     seed = request.seed if request.seed is not None else 0
-    rows = _bench_instances(base, dimension, opts.get("size", 3),
-                            opts.get("trials", 10), seed)
+    rows = _bench_instances(base, dimension, opts["size"], opts["trials"], seed)
     orders = [r["order_estimate"] for r in rows if r["order_estimate"] is not None]
     report = {
         "command": "bench",
@@ -432,29 +436,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_multi)
 
     p_sample = sub.add_parser("sample", help="stochastic LLN / CLT experiments")
-    p_sample.add_argument("--experiment", choices=("lln", "clt"), default="lln")
-    p_sample.add_argument("--dimension", type=int, default=3)
-    p_sample.add_argument("--scale", type=float, default=0.3)
-    p_sample.add_argument("--count", type=int, default=10_000,
+    p_sample.add_argument("--experiment", choices=("lln", "clt"))
+    p_sample.add_argument("--dimension", type=int)
+    p_sample.add_argument("--scale", type=float)
+    p_sample.add_argument("--count", type=int,
                           help="samples per batch (lln) or per trial (clt)")
-    p_sample.add_argument("--num-seeds", type=int, default=1)
-    p_sample.add_argument("--trials", type=int, default=1000)
-    p_sample.add_argument("--mu", type=float, default=0.3)
-    p_sample.add_argument("--sigma", type=float, default=0.5)
-    p_sample.add_argument("--power", type=float, default=0.0,
+    p_sample.add_argument("--num-seeds", type=int)
+    p_sample.add_argument("--trials", type=int)
+    p_sample.add_argument("--mu", type=float)
+    p_sample.add_argument("--sigma", type=float)
+    p_sample.add_argument("--power", type=float,
                           help="power-family generator parameter (clt)")
-    p_sample.add_argument("--center", default=None, metavar="FILE",
+    p_sample.add_argument("--center", metavar="FILE",
                           help="matrix-set file holding the sampling center")
+    p_sample.set_defaults(**SAMPLE_DEFAULTS)
     _add_common(p_sample)
 
     p_bench = sub.add_parser("bench", help="convergence-order diagnostics")
     p_bench.add_argument("--kind", required=True,
                          help="one of: agm, ahm, bmp, alm")
-    p_bench.add_argument("--dimension", type=int, default=1,
+    p_bench.add_argument("--dimension", type=int,
                          help="1 for scalar iterations, >= 2 for matrices")
-    p_bench.add_argument("--size", type=int, default=3,
+    p_bench.add_argument("--size", type=int,
                          help="number of matrices for bmp/alm")
-    p_bench.add_argument("--trials", type=int, default=10)
+    p_bench.add_argument("--trials", type=int)
+    p_bench.set_defaults(**BENCH_DEFAULTS)
     _add_common(p_bench)
 
     return parser
@@ -473,21 +479,10 @@ def request_from_args(args: argparse.Namespace) -> MeanRequest:
         inputs = args.inputs
         kind = args.kind
     elif command == "sample":
-        inputs = {
-            "experiment": args.experiment,
-            "dimension": args.dimension,
-            "scale": args.scale,
-            "count": args.count,
-            "num_seeds": args.num_seeds,
-            "trials": args.trials,
-            "mu": args.mu,
-            "sigma": args.sigma,
-            "power": args.power,
-            "center": args.center,
-        }
+        inputs = {key: getattr(args, key) for key in SAMPLE_DEFAULTS}
         kind = None
     else:
-        inputs = {"dimension": args.dimension, "size": args.size, "trials": args.trials}
+        inputs = {key: getattr(args, key) for key in BENCH_DEFAULTS}
         kind = args.kind
     return MeanRequest(
         command=command,

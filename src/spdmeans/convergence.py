@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DomainError, NonConvergenceError
+
 #: Usable error samples must exceed this multiple of machine epsilon;
 #: below it the ratios q_t are dominated by roundoff, not by the iteration.
 NOISE_FLOOR_FACTOR = 10.0 * np.finfo(float).eps
@@ -31,6 +33,8 @@ class ConvergenceTrace:
     ``steps`` holds (step index, scalar value or None, error proxy)
     records; the error proxy is whatever gap the iteration monitors
     (relative scalar gap, Riemannian distance, spread, objective).
+    ``converged`` means a tolerance was checked and the last error met it;
+    ``iterations_used`` counts the steps after the first, or a walk's budget.
     ``order_estimate`` is the trailing-window empirical convergence order,
     or None when fewer than four strictly decreasing positive errors were
     observed above the noise floor.
@@ -78,22 +82,45 @@ def estimate_order(errors: Sequence[float], floor: float = NOISE_FLOOR_FACTOR) -
 
 
 class TraceRecorder:
-    """Accumulates steps during an iteration and builds the final trace."""
+    """Records one iteration's steps and owns its stopping rule.
 
-    def __init__(self, order_floor: float = NOISE_FLOOR_FACTOR):
-        self._steps: list[TraceStep] = []
+    ``record`` returns whether the loop goes on: False once the error is
+    at most ``tol``; at step ``max_steps`` above ``tol`` it raises
+    NonConvergenceError with the partial trace (``name`` and ``unit`` word
+    the message).  A fixed-budget walk passes no tolerance: it never stops
+    early or claims convergence, and gives ``build`` its step count.
+    """
+
+    def __init__(self, tol: float | None = None, max_steps: int | None = None,
+                 name: str = "iteration", unit: str = "iterations",
+                 order_floor: float = NOISE_FLOOR_FACTOR):
+        if tol is not None and not tol > 0:
+            raise DomainError("tolerance must be positive")
+        self.tol = tol
+        self.max_steps = max_steps
+        self.name = name
+        self._unit = unit
+        self._steps: list[tuple[int, object, float]] = []  # TraceSteps built once, in build()
         self._order_floor = order_floor
 
-    def record(self, step: int, value, error: float) -> None:
+    def record(self, step: int, value, error: float) -> bool:
         if error < 0:
             raise ValueError("error proxies must be nonnegative")
-        self._steps.append(TraceStep(step=step, value=value, error=float(error)))
+        self._steps.append((step, value, float(error)))
+        if self.tol is not None and error <= self.tol:
+            return False
+        if self.max_steps is not None and step >= self.max_steps:
+            raise NonConvergenceError(
+                f"{self.name} failed to reach {self.tol} within {self.max_steps} {self._unit}",
+                trace=self.build(),
+            )
+        return True
 
-    def build(self, converged: bool, iterations_used: int) -> ConvergenceTrace:
-        errors = [s.error for s in self._steps]
+    def build(self, iterations_used: int | None = None) -> ConvergenceTrace:
+        errors = [error for _, _, error in self._steps]
         return ConvergenceTrace(
-            steps=tuple(self._steps),
-            converged=converged,
-            iterations_used=iterations_used,
+            steps=tuple(TraceStep(step, value, error) for step, value, error in self._steps),
+            converged=self.tol is not None and bool(errors) and errors[-1] <= self.tol,
+            iterations_used=len(errors) - 1 if iterations_used is None else iterations_used,
             order_estimate=estimate_order(errors, self._order_floor),
         )

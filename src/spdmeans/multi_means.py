@@ -9,7 +9,9 @@ geometric means (ALM and BMP tuples built in).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -143,22 +145,15 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
         w = WeightVector.uniform(len(Ps))
     if len(w) != len(Ps):
         raise DomainError(f"{len(Ps)} matrices but {len(w)} weights")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    # max_iter counts residual evaluations: the step index is the evaluation.
+    recorder = TraceRecorder(tol, max_iter, "Karcher refinement", order_floor=MATRIX_ORDER_FLOOR)
     weights = w.values
     G = G0
-    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    for t in range(1, max_iter + 1):
+    for t in count(1):
         tangent = _weighted_log_sum(G, Ps, weights)
-        residual = float(np.linalg.norm(tangent))
-        recorder.record(t, None, residual)
-        if residual <= tol:
-            return G, recorder.build(converged=True, iterations_used=t - 1)
+        if not recorder.record(t, None, float(np.linalg.norm(tangent))):
+            return G, recorder.build()
         G = _exp_at(G, tangent)
-    raise NonConvergenceError(
-        f"Karcher refinement failed to reach {tol} within {max_iter} iterations",
-        trace=recorder.build(converged=False, iterations_used=max_iter),
-    )
 
 
 def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[SpdMatrix, ConvergenceTrace]:
@@ -175,7 +170,7 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     if n == 1:
         recorder.record(0, None, 0.0)
-        return Ps[0], recorder.build(converged=True, iterations_used=0)
+        return Ps[0], recorder.build()
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
     M = Ps[0]
@@ -183,7 +178,7 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
         M = geodesic(M, Ps[t % n], 1.0 / (t + 1))
         if t % n == 0:
             recorder.record(t, None, karcher_residual(M, Ps))
-    return M, recorder.build(converged=True, iterations_used=steps)
+    return M, recorder.build(iterations_used=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +200,7 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     if len(Ps) == 1:
         recorder.record(0, None, 0.0)
-        return C, recorder.build(converged=True, iterations_used=0)
+        return C, recorder.build()
     for t in range(1, steps + 1):
         distances = [riemannian_distance(C, P) for P in Ps]
         far = int(np.argmax(distances))
@@ -213,7 +208,7 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
         C = geodesic(C, Ps[far], 1.0 / (t + 1))
     distances = [riemannian_distance(C, P) for P in Ps]
     recorder.record(steps, None, max(distances))
-    return C, recorder.build(converged=True, iterations_used=steps)
+    return C, recorder.build()
 
 
 def _default_lambda_schedule(k: int) -> float:
@@ -257,7 +252,7 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             X = geodesic(X, P, min(1.0, lam / (n * dist)))
         objective = sum(riemannian_distance(X, P) for P in Ps) / n
         recorder.record(k + 1, None, objective)
-    return X, recorder.build(converged=True, iterations_used=sweeps)
+    return X, recorder.build(iterations_used=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +272,33 @@ def _max_pairwise_distance(mats: Sequence[SpdMatrix]) -> float:
 _STAGNATION_SPREAD_BOUND = 1e-6
 
 
-def _recursive_mean(mats: tuple[SpdMatrix, ...], s_tuple: tuple[float, ...], tol: float,
-                    max_rounds: int, recorder: TraceRecorder | None,
+def _level_recorder(tol: float, max_rounds: int, name: str) -> TraceRecorder:
+    return TraceRecorder(tol, max_rounds, name, unit="rounds", order_floor=MATRIX_ORDER_FLOOR)
+
+
+def _recursive_mean(mats: tuple[SpdMatrix, ...], s_tuple: tuple[float, ...],
+                    recorder: TraceRecorder,
                     accept_stagnation: bool = False) -> tuple[SpdMatrix, int]:
+    """Limit of one recursion level and its rounds; ``recorder`` holds the
+    level's tolerance and cap, and each inner level gets its own."""
     n = len(mats)
     if n == 1:
         return mats[0], 0
-    spread = _max_pairwise_distance(mats)
-    if recorder is not None:
-        recorder.record(0, None, spread)
     rounds = 0
     stalls = 0
     current = mats
-    while spread > tol:
-        if rounds >= max_rounds:
+    previous, spread = math.inf, _max_pairwise_distance(mats)
+    while recorder.record(rounds, None, spread):
+        # Roundoff floors the spread before very tight tolerances are met;
+        # detect the stall instead of burning the whole round budget.
+        stalls = stalls + 1 if spread >= 0.99 * previous else 0
+        if stalls >= 2:
+            if accept_stagnation and spread < _STAGNATION_SPREAD_BOUND:
+                break
             raise NonConvergenceError(
-                f"recursive geometric mean failed to reach {tol} within {max_rounds} rounds",
-                trace=recorder.build(converged=False, iterations_used=rounds)
-                if recorder is not None else None,
+                f"{recorder.name} stagnated at spread {spread:.3e} "
+                f"above tolerance {recorder.tol}",
+                trace=recorder.build(),
             )
         if n == 2:
             current = (
@@ -304,10 +308,12 @@ def _recursive_mean(mats: tuple[SpdMatrix, ...], s_tuple: tuple[float, ...], tol
         else:
             # Inner means run at a tighter tolerance so their error does not
             # contaminate the outer spread sequence near its own tolerance.
-            inner_tol = max(1e-2 * tol, 1e-14)
+            inner_tol = max(1e-2 * recorder.tol, 1e-14)
+            inner_name = f"inner {n - 1}-matrix level of the recursive geometric mean"
             partners = [
-                _recursive_mean(current[:i] + current[i + 1:], s_tuple[1:], inner_tol,
-                                max_rounds, None, accept_stagnation=True)[0]
+                _recursive_mean(current[:i] + current[i + 1:], s_tuple[1:],
+                                _level_recorder(inner_tol, recorder.max_steps, inner_name),
+                                accept_stagnation=True)[0]
                 for i in range(n)
             ]
             current = tuple(
@@ -315,20 +321,6 @@ def _recursive_mean(mats: tuple[SpdMatrix, ...], s_tuple: tuple[float, ...], tol
             )
         rounds += 1
         previous, spread = spread, _max_pairwise_distance(current)
-        if recorder is not None:
-            recorder.record(rounds, None, spread)
-        # Roundoff floors the spread before very tight tolerances are met;
-        # detect the stall instead of burning the whole round budget.
-        stalls = stalls + 1 if spread >= 0.99 * previous else 0
-        if stalls >= 2 and spread > tol:
-            if accept_stagnation and spread < _STAGNATION_SPREAD_BOUND:
-                break
-            raise NonConvergenceError(
-                f"recursive geometric mean stagnated at spread {spread:.3e} "
-                f"above tolerance {tol}",
-                trace=recorder.build(converged=False, iterations_used=rounds)
-                if recorder is not None else None,
-            )
     return current[0], rounds
 
 
@@ -352,8 +344,6 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
         raise DomainError(
             f"parameter tuple has {len(params.s_tuple)} entries, need {n - 1}"
         )
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
-    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    limit, rounds = _recursive_mean(tuple(Ps), params.s_tuple, tol, max_rounds, recorder)
-    return limit, recorder.build(converged=True, iterations_used=rounds)
+    recorder = _level_recorder(tol, max_rounds, "recursive geometric mean")
+    limit, _ = _recursive_mean(tuple(Ps), params.s_tuple, recorder)
+    return limit, recorder.build()

@@ -17,13 +17,14 @@ import numpy as np
 from scipy import integrate
 
 from .convergence import ConvergenceTrace, TraceRecorder
-from .errors import DomainError, NonConvergenceError, NumericError
+from .errors import DomainError, NumericError
 from .spd_core import WeightVector
 
 DEFAULT_TOLERANCE = 1e-13
 DEFAULT_MAX_ITERATIONS = 64
 
-#: Below this |p| the power-mean family evaluates its geometric-limit branch.
+#: Below this |p| the scalar power mean and the matrix Q_p family evaluate
+#: their p -> 0 limit branch.
 POWER_MEAN_P_CUTOFF = 1e-8
 
 
@@ -209,6 +210,21 @@ def _require_positive(*xs: float) -> None:
             raise DomainError(f"inputs must be positive, got {x!r}")
 
 
+def _arithmetic(x: float, y: float) -> float:
+    return 0.5 * (x + y)
+
+
+def _geometric(x: float, y: float) -> float:
+    return math.sqrt(x) * math.sqrt(y)
+
+
+def _harmonic(x: float, y: float) -> float:
+    return 2.0 / (1.0 / x + 1.0 / y)
+
+
+_PYTHAGOREAN_MEANS = {"arithmetic": _arithmetic, "geometric": _geometric, "harmonic": _harmonic}
+
+
 def pythagorean_mean(kind: str, x: float, y: float) -> float:
     """Arithmetic, geometric, or harmonic mean of two positive reals.
 
@@ -216,13 +232,9 @@ def pythagorean_mean(kind: str, x: float, y: float) -> float:
     would overflow or underflow for magnitudes past ~1e154.
     """
     _require_positive(x, y)
-    if kind == "arithmetic":
-        return 0.5 * (x + y)
-    if kind == "geometric":
-        return math.sqrt(x) * math.sqrt(y)
-    if kind == "harmonic":
-        return 2.0 / (1.0 / x + 1.0 / y)
-    raise DomainError(f"unknown Pythagorean mean kind {kind!r}")
+    if kind not in _PYTHAGOREAN_MEANS:
+        raise DomainError(f"unknown Pythagorean mean kind {kind!r}")
+    return _PYTHAGOREAN_MEANS[kind](x, y)
 
 
 def power_mean(p: float, x: float, y: float) -> float:
@@ -275,13 +287,23 @@ def quasi_arithmetic_center(gradient: LegendreGradient, points: Sequence[np.ndar
 _BETWEENNESS_GRID = (0.25, 0.5, 1.0, 1.75, 3.0)
 
 
+def _check_betweenness(name: str, mean: Callable[[float, float], float]) -> None:
+    """Raise DomainError unless min <= M(x, y) <= max on the sample grid."""
+    slack = 1e-12
+    for x in _BETWEENNESS_GRID:
+        for y in _BETWEENNESS_GRID:
+            m = mean(x, y)
+            if not (min(x, y) - slack <= m <= max(x, y) + slack):
+                raise DomainError(f"{name} violates in-betweenness at ({x}, {y}): {m}")
+
+
 @dataclass(frozen=True)
 class DoubleSequenceSpec:
     """A pair of binary scalar means driving a coupled double sequence.
 
-    Both means are checked for in-betweenness (min <= M(x, y) <= max) on a
-    fixed sample grid at construction; the relative-gap ``tolerance`` and
-    the iteration cap govern the run.
+    Means from outside this module are checked for in-betweenness
+    (min <= M(x, y) <= max) on a fixed sample grid at construction; the
+    relative-gap ``tolerance`` and the iteration cap govern the run.
     """
 
     mean_one: Callable[[float, float], float]
@@ -294,15 +316,9 @@ class DoubleSequenceSpec:
             raise DomainError("tolerance must be positive")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        slack = 1e-12
         for name, mean in (("mean_one", self.mean_one), ("mean_two", self.mean_two)):
-            for x in _BETWEENNESS_GRID:
-                for y in _BETWEENNESS_GRID:
-                    m = mean(x, y)
-                    if not (min(x, y) - slack <= m <= max(x, y) + slack):
-                        raise DomainError(
-                            f"{name} violates in-betweenness at ({x}, {y}): {m}"
-                        )
+            if mean not in _PYTHAGOREAN_MEANS.values():
+                _check_betweenness(name, mean)
 
 
 def double_sequence(spec: DoubleSequenceSpec, x: float, y: float) -> tuple[float, ConvergenceTrace]:
@@ -318,31 +334,20 @@ def double_sequence(spec: DoubleSequenceSpec, x: float, y: float) -> tuple[float
     """
     _require_positive(x, y)
     a, b = float(x), float(y)
-    recorder = TraceRecorder()
-    gap = abs(a - b) / max(abs(a), abs(b))
-    recorder.record(0, a, gap)
+    recorder = TraceRecorder(spec.tolerance, spec.max_iterations, "double sequence")
     t = 0
-    while gap > spec.tolerance:
-        if t >= spec.max_iterations:
-            raise NonConvergenceError(
-                f"double sequence failed to reach {spec.tolerance} within "
-                f"{spec.max_iterations} iterations",
-                trace=recorder.build(converged=False, iterations_used=t),
-            )
+    while recorder.record(t, a, abs(a - b) / max(abs(a), abs(b))):
         a, b = spec.mean_one(a, b), spec.mean_two(a, b)
         t += 1
-        gap = abs(a - b) / max(abs(a), abs(b))
-        recorder.record(t, a, gap)
-    limit = math.sqrt(a) * math.sqrt(b)
-    return limit, recorder.build(converged=True, iterations_used=t)
+    return _geometric(a, b), recorder.build()
 
 
 def agm(x: float, y: float, tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS) -> tuple[float, ConvergenceTrace]:
     """Arithmetic-geometric mean, the limit of the coupled (A, G) sequence."""
     spec = DoubleSequenceSpec(
-        mean_one=lambda u, v: 0.5 * (u + v),
-        mean_two=lambda u, v: math.sqrt(u) * math.sqrt(v),
+        mean_one=_arithmetic,
+        mean_two=_geometric,
         tolerance=tolerance,
         max_iterations=max_iterations,
     )
@@ -353,8 +358,8 @@ def ahm(x: float, y: float, tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = DEFAULT_MAX_ITERATIONS) -> tuple[float, ConvergenceTrace]:
     """Arithmetic-harmonic mean; its limit is the geometric mean sqrt(xy)."""
     spec = DoubleSequenceSpec(
-        mean_one=lambda u, v: 0.5 * (u + v),
-        mean_two=lambda u, v: 2.0 / (1.0 / u + 1.0 / v),
+        mean_one=_arithmetic,
+        mean_two=_harmonic,
         tolerance=tolerance,
         max_iterations=max_iterations,
     )
@@ -429,22 +434,13 @@ def complex_ahm(z1: ComplexPolar, z2: ComplexPolar, tolerance: float = DEFAULT_T
         raise DomainError(
             "complex AHM requires principal arguments separated by less than pi"
         )
+    recorder = TraceRecorder(tolerance, max_iterations, "complex AHM")
     a, h = z1.to_complex(), z2.to_complex()
-    recorder = TraceRecorder()
-    gap = abs(a - h) / max(abs(a), abs(h))
-    recorder.record(0, None, gap)
     t = 0
-    while gap > tolerance:
-        if t >= max_iterations:
-            raise NonConvergenceError(
-                f"complex AHM failed to reach {tolerance} within {max_iterations} iterations",
-                trace=recorder.build(converged=False, iterations_used=t),
-            )
+    while recorder.record(t, None, abs(a - h) / max(abs(a), abs(h))):
         s = a + h
         if s == 0:
             raise NumericError("complex AHM iteration hit a + h = 0")
         a, h = 0.5 * s, 2.0 * a * h / s
         t += 1
-        gap = abs(a - h) / max(abs(a), abs(h))
-        recorder.record(t, None, gap)
     return ComplexPolar.from_complex(0.5 * (a + h))

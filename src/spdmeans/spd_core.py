@@ -31,14 +31,14 @@ class SpdMatrix:
 
     The constructor symmetrizes its input ((M + M^T)/2), validates
     positive definiteness (smallest eigenvalue must exceed
-    ``pd_tolerance`` times the largest), and freezes the storage.  The
+    ``DEFAULT_PD_TOLERANCE`` times the largest), and freezes the storage.  The
     eigendecomposition is computed lazily on first use and reused by all
     spectral operations; eigenvalues are kept in descending order.
     """
 
     __slots__ = ("_array", "_eig")
 
-    def __init__(self, values, pd_tolerance: float = DEFAULT_PD_TOLERANCE):
+    def __init__(self, values):
         arr = np.array(values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
@@ -52,7 +52,7 @@ class SpdMatrix:
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigensolver failed during validation: {exc}") from exc
         lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
-        if hi <= 0.0 or lo <= pd_tolerance * hi:
+        if hi <= 0.0 or lo <= DEFAULT_PD_TOLERANCE * hi:
             raise DefinitenessError(
                 f"matrix is not positive definite: min eigenvalue {lo:.6g}, "
                 f"max eigenvalue {hi:.6g}",

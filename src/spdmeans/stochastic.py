@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +86,35 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     return out
 
 
+def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
+                    checkpoints: Iterator[int]) -> tuple[SpdMatrix, ConvergenceTrace]:
+    """The running inductive mean of a stream, recording rho(M_t, center)
+    at each t of the ascending ``checkpoints`` and at the final sample."""
+    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
+    mean: SpdMatrix | None = None
+    t = 0
+    next_checkpoint = next(checkpoints, None)
+    last_recorded = -1
+    for t, X in enumerate(samples, 1):
+        if mean is None:
+            mean = X
+        elif X.dimension != mean.dimension:
+            raise ShapeError(
+                f"sample dimension {X.dimension} does not match stream dimension {mean.dimension}"
+            )
+        else:
+            mean = geodesic(mean, X, 1.0 / t)
+        if center is not None and t == next_checkpoint:
+            recorder.record(t, None, riemannian_distance(mean, center))
+            last_recorded = t
+            next_checkpoint = next(checkpoints, None)
+    if mean is None:
+        raise DomainError("sample stream is empty")
+    if center is not None and t != last_recorded:
+        recorder.record(t, None, riemannian_distance(mean, center))
+    return mean, recorder.build(iterations_used=t)
+
+
 def inductive_expectation(samples: Iterable[SpdMatrix],
                           center: SpdMatrix | None = None) -> tuple[SpdMatrix, ConvergenceTrace]:
     """Running inductive (Sturm) mean M_{t+1} = M_t #_{1/(t+1)} X_{t+1}.
@@ -92,33 +122,9 @@ def inductive_expectation(samples: Iterable[SpdMatrix],
     Consumes the whole stream and returns the final iterate.  When the
     true center is supplied, the trace records rho(M_t, center) at
     t = 10, 100, 1000, ... and at the final sample, giving the empirical
-    law-of-large-numbers curve.
+    law-of-large-numbers curve; the trace never claims convergence.
     """
-    recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    mean: SpdMatrix | None = None
-    t = 0
-    next_decade = 10
-    last_recorded = -1
-    for X in samples:
-        if mean is None:
-            mean = X
-            t = 1
-        else:
-            if X.dimension != mean.dimension:
-                raise ShapeError(
-                    f"sample dimension {X.dimension} does not match stream dimension {mean.dimension}"
-                )
-            mean = geodesic(mean, X, 1.0 / (t + 1))
-            t += 1
-        if center is not None and t == next_decade:
-            recorder.record(t, None, riemannian_distance(mean, center))
-            last_recorded = t
-            next_decade *= 10
-    if mean is None:
-        raise DomainError("sample stream is empty")
-    if center is not None and t != last_recorded:
-        recorder.record(t, None, riemannian_distance(mean, center))
-    return mean, recorder.build(converged=True, iterations_used=t)
+    return _inductive_walk(samples, center, (10 ** k for k in count(1)))
 
 
 def spd_variance(samples: Sequence[SpdMatrix], center: SpdMatrix) -> float:
@@ -166,8 +172,8 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
                    seeds: Sequence[int]) -> LlnReport:
     """Empirical law of large numbers for the inductive SPD mean.
 
-    For each seed, draws the largest requested batch once and reads the
-    error rho(M_t, center) off the inductive trace at every count.  The
+    For each seed, draws the largest requested batch once and records the
+    error rho(M_t, center) at every requested count in one pass.  The
     batch is streamed in a seeded shuffle: consumed in emission order,
     adjacent antithetic pairs would cancel and pin the running mean to
     the center exactly at every even step, leaving nothing to measure.
@@ -179,6 +185,8 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
     counts = sorted(int(c) for c in counts)
     if not counts:
         raise DomainError("need at least one sample count")
+    if counts[0] < 1:
+        raise DomainError(f"sample counts must be at least 1, got {counts[0]}")
     errors: list[tuple[float, ...]] = []
     residuals: list[float] = []
     var_center: list[float] = []
@@ -189,15 +197,9 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
         batch = sample_spd(config)
         order = _substream(int(seed), 2).permutation(len(batch))
         stream = [batch[i] for i in order]
-        estimate, trace = inductive_expectation(stream, center=center)
+        estimate, trace = _inductive_walk(stream, center, iter(sorted(set(counts))))
         by_step = {s.step: s.error for s in trace.steps}
-        row = []
-        for c in counts:
-            if c not in by_step:
-                prefix_mean, _ = inductive_expectation(stream[:c])
-                by_step[c] = riemannian_distance(prefix_mean, center)
-            row.append(by_step[c])
-        errors.append(tuple(row))
+        errors.append(tuple(by_step[c] for c in counts))
         residuals.append(karcher_residual(center, batch))
         var_center.append(spd_variance(batch, center))
         var_estimate.append(spd_variance(batch, estimate))

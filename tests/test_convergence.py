@@ -1,7 +1,30 @@
+import numpy as np
 import pytest
 
-from spdmeans import agm, estimate_order
+from spdmeans import (
+    ComplexPolar,
+    DomainError,
+    NonConvergenceError,
+    RecursiveMeanParams,
+    SampleConfig,
+    WeightVector,
+    agm,
+    ahm,
+    ahm_iteration,
+    bacak_median,
+    complex_ahm,
+    estimate_order,
+    holbrook_inductive_mean,
+    inductive_expectation,
+    karcher_refine,
+    lim_palfia_power_mean_picard,
+    recursive_geometric_mean,
+    riemannian_circumcenter,
+    sample_spd,
+    weighted_arithmetic,
+)
 from spdmeans.convergence import ConvergenceTrace, TraceRecorder
+from tests.conftest import random_spd
 
 
 def test_estimate_order_quadratic_sequence():
@@ -55,3 +78,100 @@ def test_trace_without_enough_iterates_has_no_order():
     value, trace = agm(1.0, 1.0)
     assert trace.iterations_used == 0
     assert trace.order_estimate is None
+
+
+# ---------------------------------------------------------------------------
+# The trace contract of every iterative function
+# ---------------------------------------------------------------------------
+
+def _mats(n, d=3):
+    rng = np.random.default_rng(20240817)
+    return [random_spd(rng, d) for _ in range(n)]
+
+
+def _karcher(tol, cap):
+    mats = _mats(4)
+    start = weighted_arithmetic(mats, WeightVector.uniform(len(mats)))
+    return karcher_refine(start, mats, tol=tol, max_iter=cap)
+
+
+def _complex_ahm(tol, cap):
+    z = complex_ahm(ComplexPolar(2.0, 1.0), ComplexPolar(5.0, -1.5),
+                    tolerance=tol, max_iterations=cap)
+    return z, None  # returns no trace; only its cap error carries one
+
+
+#: name -> run(tol, cap) for every loop that stops at a tolerance.
+TOLERANCE_LOOPS = {
+    "agm": lambda tol, cap: agm(1.0, 1000.0, tolerance=tol, max_iterations=cap),
+    "ahm": lambda tol, cap: ahm(1.0, 1000.0, tolerance=tol, max_iterations=cap),
+    "complex_ahm": _complex_ahm,
+    "ahm_iteration": lambda tol, cap: ahm_iteration(*_mats(2), tol=tol, max_iter=cap),
+    "picard": lambda tol, cap: lim_palfia_power_mean_picard(*_mats(2), 0.5, tol=tol,
+                                                            max_iter=cap),
+    "karcher": _karcher,
+    "bmp": lambda tol, cap: recursive_geometric_mean(_mats(4), RecursiveMeanParams.bmp(4),
+                                                     tol=tol, max_rounds=cap),
+    "alm": lambda tol, cap: recursive_geometric_mean(_mats(3), RecursiveMeanParams.alm(3),
+                                                     tol=tol, max_rounds=cap),
+}
+
+
+def _walk_sample():
+    center = _mats(1)[0]
+    config = SampleConfig(seed=3, dimension=3, scale=0.3, count=40, center=center)
+    return inductive_expectation(sample_spd(config), center=center)
+
+
+#: name -> run() for every walk with a fixed budget and no stopping rule.
+FIXED_BUDGET_WALKS = {
+    "holbrook": lambda: holbrook_inductive_mean(_mats(3), 30),
+    "holbrook_single": lambda: holbrook_inductive_mean(_mats(1), 3),
+    "circumcenter": lambda: riemannian_circumcenter(_mats(3), 30),
+    "circumcenter_single": lambda: riemannian_circumcenter(_mats(1), 3),
+    "median": lambda: bacak_median(_mats(3), sweeps=10),
+    "inductive_expectation": _walk_sample,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_LOOPS))
+def test_tolerance_loop_trace_contract(name):
+    run = TOLERANCE_LOOPS[name]
+    tol = 1e-10
+    _, trace = run(tol, 500)
+    if trace is not None:
+        assert trace.converged and trace.final_error <= tol
+        assert trace.iterations_used == len(trace.steps) - 1
+    with pytest.raises(NonConvergenceError) as err:
+        run(tol, 1)
+    capped = err.value.trace
+    assert capped is not None
+    assert not capped.converged and capped.final_error > tol
+    assert capped.iterations_used == len(capped.steps) - 1
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_BUDGET_WALKS))
+def test_fixed_budget_walk_never_claims_convergence(name):
+    _, trace = FIXED_BUDGET_WALKS[name]()
+    assert trace.steps
+    assert not trace.converged
+
+
+@pytest.mark.parametrize("name", ["ahm_iteration", "complex_ahm", "picard", "karcher", "bmp"])
+@pytest.mark.parametrize("tol", [0.0, -1e-3])
+def test_nonpositive_tolerance_rejected(name, tol):
+    with pytest.raises(DomainError):
+        TOLERANCE_LOOPS[name](tol, 10)
+
+
+def test_recorder_stopping_rule():
+    recorder = TraceRecorder(1e-3, 2, "toy loop")
+    assert recorder.record(0, None, 1.0)
+    assert not recorder.record(1, None, 1e-3)
+    assert recorder.build().converged
+    with pytest.raises(NonConvergenceError, match="toy loop failed to reach 0.001 within 2"):
+        recorder.record(2, None, 0.5)
+    walk = TraceRecorder()
+    assert walk.record(0, None, 0.0)
+    assert not walk.build(iterations_used=7).converged
+    assert walk.build(iterations_used=7).iterations_used == 7

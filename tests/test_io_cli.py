@@ -354,6 +354,23 @@ def test_run_with_request_object(tmp_path):
     assert run(request) == 0
 
 
+def test_request_in_code_matches_command_line_defaults(capsys):
+    # A request that omits an option runs the same experiment as the
+    # command line that omits the flag.
+    request = MeanRequest(command="sample", inputs={"experiment": "clt", "trials": 20},
+                          seed=3, output="json")
+    assert run(request) == 0
+    in_code = json.loads(capsys.readouterr().out)
+    assert main(["sample", "--experiment", "clt", "--trials", "20", "--seed", "3",
+                 "--output", "json"]) == 0
+    assert in_code == json.loads(capsys.readouterr().out)
+    request = MeanRequest(command="bench", kind="agm", inputs={"trials": 2}, output="json")
+    assert run(request) == 0
+    in_code = json.loads(capsys.readouterr().out)
+    assert main(["bench", "--kind", "agm", "--trials", "2", "--output", "json"]) == 0
+    assert in_code == json.loads(capsys.readouterr().out)
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["scalar", "--kind", "agm", "--x", "1", "--y", "2"])

@@ -1,8 +1,11 @@
-"""Source layout: eigendecompositions are computed in spd_core only.
+"""Source layout: one module owns each cross-cutting rule.
 
-Every other module reaches spectral calculus through the kernels in
-``spd_core`` (``_spectral``, ``_whiten``, ``_exp_at``) or its public
-operations, so a change of eigensolver or batching touches one module.
+Eigendecompositions are computed in spd_core only: every other module
+reaches spectral calculus through the kernels in ``spd_core``
+(``_spectral``, ``_whiten``, ``_exp_at``) or its public operations, so a
+change of eigensolver or batching touches one module.  The trace
+contract lives in ``convergence``: only ``TraceRecorder`` decides
+``converged`` and raises the budget-cap NonConvergenceError.
 """
 
 from __future__ import annotations
@@ -31,3 +34,39 @@ def test_eigensolvers_only_in_spd_core():
     assert found.pop("spd_core.py"), "the scan finds no eigensolver even in spd_core"
     offenders = [ref for refs in found.values() for ref in refs]
     assert offenders == [], f"eigh/eigvalsh referenced outside spd_core: {offenders}"
+
+
+#: NonConvergenceError raised outside convergence.py, by enclosing function.
+#: The recursive means' stagnation raise reports roundoff stalling the
+#: spread, not an exhausted budget.
+NON_BUDGET_RAISES = ["multi_means.py:_recursive_mean"]
+
+
+def _trace_contract_references(path: Path) -> tuple[list[str], list[str]]:
+    """(``<file>:<line>`` of every ``converged=`` keyword, ``<file>:<function>``
+    of every NonConvergenceError construction)."""
+    converged, raises = [], []
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            if any(kw.arg == "converged" for kw in node.keywords):
+                converged.append(f"{path.name}:{node.lineno}")
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+            if name == "NonConvergenceError":
+                raises.append(f"{path.name}:{func.name}")
+    return converged, raises
+
+
+def test_trace_contract_only_in_convergence():
+    found = {path.name: _trace_contract_references(path) for path in sorted(PACKAGE.glob("*.py"))}
+    converged, raises = found.pop("convergence.py")
+    assert converged and raises, "the scan finds no trace contract even in convergence"
+    converged = [ref for refs, _ in found.values() for ref in refs]
+    raises = [ref for _, refs in found.values() for ref in refs]
+    assert converged == [], f"converged= passed outside convergence: {converged}"
+    assert raises == NON_BUDGET_RAISES, f"NonConvergenceError built outside convergence: {raises}"

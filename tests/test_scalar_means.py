@@ -26,7 +26,7 @@ from spdmeans import (
     quasi_arithmetic_mean,
     reciprocal_generator,
 )
-from spdmeans.scalar_means import check_generator
+from spdmeans.scalar_means import _PYTHAGOREAN_MEANS, _check_betweenness, check_generator
 
 # AGM(1, 2) to 19 significant digits, computed independently at high
 # precision; float64 rounds it to 1.4567910310469069.
@@ -214,6 +214,13 @@ def test_double_sequence_registration_rejects_non_mean():
     with pytest.raises(DomainError):
         DoubleSequenceSpec(mean_one=lambda x, y: x + y,
                            mean_two=lambda x, y: math.sqrt(x * y))
+
+
+def test_builtin_means_pass_the_betweenness_grid():
+    # DoubleSequenceSpec skips the grid for these; they must still pass it.
+    for kind, mean in _PYTHAGOREAN_MEANS.items():
+        _check_betweenness(kind, mean)
+        assert mean(2.0, 5.0) == pythagorean_mean(kind, 2.0, 5.0)
 
 
 def test_double_sequence_fixed_point():

@@ -23,6 +23,7 @@ from spdmeans import (
     weighted_arithmetic,
     WeightVector,
 )
+from spdmeans.stochastic import _substream
 from tests.conftest import random_spd
 
 
@@ -163,6 +164,27 @@ def test_lln_experiment_medians_decrease():
     assert max(report.residual_at_center) <= 1e-12
     d = report.to_dict()
     assert d["experiment"] == "lln" and len(d["errors"]) == 5
+
+
+def test_lln_experiment_off_decade_counts_match_prefix_replay(rng):
+    # Counts that are not powers of ten are recorded in the single pass;
+    # each must equal the inductive mean recomputed over its prefix.
+    center = random_spd(rng, 3)
+    counts = [30, 250, 400]
+    report = lln_experiment(center, 0.3, counts, seeds=[4, 5])
+    for seed, row in zip(report.seeds, report.errors):
+        batch = sample_spd(SampleConfig(seed=seed, dimension=3, scale=0.3,
+                                        count=counts[-1], center=center))
+        order = _substream(seed, 2).permutation(len(batch))
+        stream = [batch[i] for i in order]
+        replayed = [riemannian_distance(inductive_expectation(stream[:c])[0], center)
+                    for c in counts]
+        assert list(row) == replayed
+
+
+def test_lln_experiment_rejects_nonpositive_count():
+    with pytest.raises(DomainError):
+        lln_experiment(SpdMatrix(np.eye(2)), 0.3, [0, 10], seeds=[0])
 
 
 # ---------------------------------------------------------------------------
