@@ -27,8 +27,8 @@ from .spd_core import (
     geodesic,
     matrix_function,
     riemannian_distance,
-    spd_inverse,
     weighted_arithmetic,
+    weighted_harmonic,
 )
 
 AHM_DEFAULT_TOLERANCE = 1e-12
@@ -51,10 +51,7 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
     A, H = X, Y
     t = 0
     while recorder.record(t, None, riemannian_distance(A, H)):
-        A, H = (
-            weighted_arithmetic([A, H], half),
-            spd_inverse(weighted_arithmetic([spd_inverse(A), spd_inverse(H)], half)),
-        )
+        A, H = weighted_arithmetic([A, H], half), weighted_harmonic([A, H], half)
         t += 1
     limit = SpdMatrix._trusted(0.5 * (A.array + H.array))
     return limit, recorder.build()

@@ -9,8 +9,12 @@ traces go to ``--trace PATH`` as JSON or CSV by extension.
 Exit codes: 0 success/convergence, 1 input or usage errors, 2
 non-convergence (the partial trace is still emitted when requested).
 
-Configuration precedence: flags > environment (SPDMEANS_TOL,
-SPDMEANS_MAX_ITERS, SPDMEANS_SEED) > per-operation defaults.
+``main(argv)`` is the one entry point, in process as on the command line:
+argparse parses ``argv`` and hands the namespace to the command's handler.
+Every option default is declared once, in the parser.  Configuration
+precedence: flags > environment (SPDMEANS_TOL, SPDMEANS_MAX_ITERS,
+SPDMEANS_SEED) > defaults; an unset tolerance or budget falls through to
+the operation's own default, and an unset seed is 0.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,13 +37,6 @@ from .spd_core import SpdMatrix, WeightVector, weighted_arithmetic
 ENV_TOLERANCE = "SPDMEANS_TOL"
 ENV_MAX_ITERS = "SPDMEANS_MAX_ITERS"
 ENV_SEED = "SPDMEANS_SEED"
-
-#: Option defaults of the ``sample`` and ``bench`` commands, read both by
-#: the argument parser and by requests built in code.
-SAMPLE_DEFAULTS = {"experiment": "lln", "dimension": 3, "scale": 0.3, "count": 10_000,
-                   "num_seeds": 1, "trials": 1000, "mu": 0.3, "sigma": 0.5, "power": 0.0,
-                   "center": None}
-BENCH_DEFAULTS = {"dimension": 1, "size": 3, "trials": 10}
 
 #: kind -> (commands it serves, description)
 REGISTRY: dict[str, tuple[tuple[str, ...], str]] = {
@@ -64,20 +60,6 @@ REGISTRY: dict[str, tuple[tuple[str, ...], str]] = {
 
 class CliUsageError(Exception):
     pass
-
-
-@dataclass
-class MeanRequest:
-    """Parsed description of one CLI invocation."""
-
-    command: str
-    kind: str | None = None
-    inputs: str | dict | None = None
-    tolerance: float | None = None
-    max_iterations: int | None = None
-    seed: int | None = None
-    output: str = "human"
-    trace_path: str | None = None
 
 
 def kinds_for_command(command: str) -> list[str]:
@@ -126,80 +108,76 @@ def _format_scalar(value: float) -> str:
     return repr(float(value))
 
 
-def _emit_result(request: MeanRequest, result, trace: ConvergenceTrace | None,
-                 out=None) -> None:
-    out = out or sys.stdout
-    is_matrix = isinstance(result, np.ndarray)
-    if request.output == "json":
+def _emit_result(args: argparse.Namespace, result: float | SpdMatrix,
+                 trace: ConvergenceTrace | None) -> int:
+    """Print a mean (a 1x1 matrix as a number), write its trace if asked; exit status 0."""
+    if isinstance(result, SpdMatrix) and result.dimension == 1:
+        result = float(result.array[0, 0])
+    is_matrix = isinstance(result, SpdMatrix)
+    if args.output == "json":
         payload = {
-            "command": request.command,
-            "kind": request.kind,
-            "result": [[float(v) for v in row] for row in result] if is_matrix
+            "command": args.command,
+            "kind": args.kind,
+            "result": [[float(v) for v in row] for row in result.array] if is_matrix
             else float(result),
         }
         if trace is not None:
             payload["converged"] = trace.converged
             payload["iterations"] = trace.iterations_used
             payload["order_estimate"] = trace.order_estimate
-        print(json.dumps(payload), file=out)
-    elif request.output == "csv":
-        if is_matrix:
-            for row in result:
-                print(",".join(_format_scalar(v) for v in row), file=out)
-        else:
-            print(_format_scalar(result), file=out)
+        print(json.dumps(payload))
     else:
-        if is_matrix:
-            for row in result:
-                print(" ".join(_format_scalar(v) for v in row), file=out)
-        else:
-            print(_format_scalar(result), file=out)
-        if trace is not None:
+        sep = "," if args.output == "csv" else " "
+        rows = result.array if is_matrix else [[result]]
+        for row in rows:
+            print(sep.join(_format_scalar(v) for v in row))
+        if trace is not None and args.output == "human":
             print(
                 f"converged={trace.converged} iterations={trace.iterations_used}"
                 + (f" order_estimate={trace.order_estimate:.3f}"
                    if trace.order_estimate is not None else ""),
                 file=sys.stderr,
             )
+    _maybe_write_trace(args, trace)
+    return 0
 
 
-def _emit_report(request: MeanRequest, report: dict, out=None) -> None:
-    out = out or sys.stdout
-    if request.output == "json":
-        print(json.dumps(report), file=out)
-    elif request.output == "csv":
+def _emit_report(args: argparse.Namespace, report: dict) -> int:
+    if args.output == "json":
+        print(json.dumps(report))
+    elif args.output == "csv":
         keys = [k for k, v in report.items() if not isinstance(v, (list, dict))]
-        print(",".join(keys), file=out)
-        print(",".join(str(report[k]) for k in keys), file=out)
+        print(",".join(keys))
+        print(",".join(str(report[k]) for k in keys))
     else:
         for key, value in report.items():
-            print(f"{key}: {value}", file=out)
+            print(f"{key}: {value}")
+    return 0
 
 
-def _maybe_write_trace(request: MeanRequest, trace: ConvergenceTrace | None) -> None:
-    if request.trace_path and trace is not None:
-        write_trace(trace, request.trace_path)
+def _maybe_write_trace(args: argparse.Namespace, trace: ConvergenceTrace | None) -> None:
+    if args.trace and trace is not None:
+        write_trace(trace, args.trace)
 
 
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _limits(request: MeanRequest, tol: str | None, cap: str) -> dict:
+def _limits(args: argparse.Namespace, tol: str | None, cap: str) -> dict:
     """The tolerance and budget the user set, as keyword arguments named for the operation."""
     kwargs = {}
-    if tol is not None and request.tolerance is not None:
-        kwargs[tol] = request.tolerance
-    if request.max_iterations is not None:
-        kwargs[cap] = request.max_iterations
+    if tol is not None and args.tolerance is not None:
+        kwargs[tol] = args.tolerance
+    if args.max_iterations is not None:
+        kwargs[cap] = args.max_iterations
     return kwargs
 
 
-def _run_scalar(request: MeanRequest) -> int:
-    base, param = _validate_kind("scalar", request.kind)
-    x = float(request.inputs["x"])
-    y = float(request.inputs["y"])
-    limits = _limits(request, "tolerance", "max_iterations")
+def _run_scalar(args: argparse.Namespace) -> int:
+    base, param = _validate_kind("scalar", args.kind)
+    x, y = args.x, args.y
+    limits = _limits(args, "tolerance", "max_iterations")
     trace = None
     if base in ("arithmetic", "geometric", "harmonic"):
         value = scalar_means.pythagorean_mean(base, x, y)
@@ -209,84 +187,68 @@ def _run_scalar(request: MeanRequest) -> int:
         value, trace = scalar_means.agm(x, y, **limits)
     else:
         value, trace = scalar_means.ahm(x, y, **limits)
-    _emit_result(request, value, trace)
-    _maybe_write_trace(request, trace)
-    return 0
+    return _emit_result(args, value, trace)
 
 
-def _matrix_result(request: MeanRequest, mat: SpdMatrix, trace: ConvergenceTrace | None) -> int:
-    result = mat.array if mat.dimension > 1 else float(mat.array[0, 0])
-    _emit_result(request, result, trace)
-    _maybe_write_trace(request, trace)
-    return 0
-
-
-def _run_pair(request: MeanRequest) -> int:
-    base, param = _validate_kind("pair", request.kind)
-    mats = parse_matrix_set(request.inputs)
+def _run_pair(args: argparse.Namespace) -> int:
+    base, param = _validate_kind("pair", args.kind)
+    mats = parse_matrix_set(args.inputs)
     if len(mats) != 2:
         raise CliUsageError(f"command 'pair' needs exactly 2 matrices, got {len(mats)}")
     X, Y = mats[0], mats[1]
     trace = None
     if base == "ahm":
-        mean, trace = binary_means.ahm_iteration(X, Y, **_limits(request, "tol", "max_iter"))
+        mean, trace = binary_means.ahm_iteration(X, Y, **_limits(args, "tol", "max_iter"))
     elif base == "lem":
         mean = binary_means.log_euclidean_mean([X, Y], WeightVector.uniform(2))
     elif base == "qpower":
         mean = binary_means.q_power_mean(X, Y, param)
     else:
         mean = binary_means.lim_palfia_power_mean(X, Y, param)
-    return _matrix_result(request, mean, trace)
+    return _emit_result(args, mean, trace)
 
 
-def _run_multi(request: MeanRequest) -> int:
-    base, _ = _validate_kind("multi", request.kind)
-    mats = parse_matrix_set(request.inputs)
+def _run_multi(args: argparse.Namespace) -> int:
+    base, _ = _validate_kind("multi", args.kind)
+    mats = parse_matrix_set(args.inputs)
     if base == "karcher":
         start = weighted_arithmetic(list(mats), WeightVector.uniform(len(mats)))
-        mean, trace = multi_means.karcher_refine(start, mats, **_limits(request, "tol", "max_iter"))
+        mean, trace = multi_means.karcher_refine(start, mats, **_limits(args, "tol", "max_iter"))
     elif base == "holbrook":
-        mean, trace = multi_means.holbrook_inductive_mean(mats, **_limits(request, None, "steps"))
+        mean, trace = multi_means.holbrook_inductive_mean(mats, **_limits(args, None, "steps"))
     elif base == "circumcenter":
-        mean, trace = multi_means.riemannian_circumcenter(mats, **_limits(request, None, "steps"))
+        mean, trace = multi_means.riemannian_circumcenter(mats, **_limits(args, None, "steps"))
     elif base == "median":
-        mean, trace = multi_means.bacak_median(mats, **_limits(request, None, "sweeps"))
+        mean, trace = multi_means.bacak_median(mats, **_limits(args, None, "sweeps"))
     else:
         params = (RecursiveMeanParams.alm(len(mats)) if base == "alm"
                   else RecursiveMeanParams.bmp(len(mats)))
         mean, trace = multi_means.recursive_geometric_mean(
-            mats, params, **_limits(request, "tol", "max_rounds"))
-    return _matrix_result(request, mean, trace)
+            mats, params, **_limits(args, "tol", "max_rounds"))
+    return _emit_result(args, mean, trace)
 
 
-def _run_sample(request: MeanRequest) -> int:
-    opts = {**SAMPLE_DEFAULTS, **(request.inputs or {})}
-    seed = request.seed if request.seed is not None else 0
-    if opts["experiment"] == "clt":
+def _run_sample(args: argparse.Namespace) -> int:
+    if args.experiment == "clt":
         report = stochastic.qa_expectation_experiment(
-            scalar_means.power_generator(opts["power"]),
-            stochastic.Lognormal(mu=opts["mu"], sigma=opts["sigma"]),
-            n=opts["count"],
-            trials=opts["trials"],
-            seed=seed,
+            scalar_means.power_generator(args.power),
+            stochastic.Lognormal(mu=args.mu, sigma=args.sigma),
+            n=args.count,
+            trials=args.trials,
+            seed=args.seed,
         )
-        _emit_report(request, report.to_dict())
-        return 0
-    dimension = opts["dimension"]
-    if opts["center"]:
-        center_set = parse_matrix_set(opts["center"])
+        return _emit_report(args, report.to_dict())
+    if args.center:
+        center_set = parse_matrix_set(args.center)
         if len(center_set) != 1:
             raise CliUsageError("--center file must hold exactly one matrix")
         center = center_set[0]
-        dimension = center.dimension
     else:
-        center = SpdMatrix(np.eye(dimension))
-    count = opts["count"]
-    counts = [c for c in (10, 100, 1000, 10_000, 100_000) if c < count] + [count]
-    seeds = list(range(seed, seed + opts["num_seeds"]))
-    report = stochastic.lln_experiment(center, opts["scale"], counts, seeds)
-    _emit_report(request, report.to_dict())
-    return 0
+        center = SpdMatrix(np.eye(args.dimension))
+    counts = [c for c in (10, 100, 1000, 10_000, 100_000) if c < args.count] + [args.count]
+    seeds = list(range(args.seed, args.seed + args.num_seeds))
+    report = stochastic.lln_experiment(center, args.scale, counts, seeds)
+    return _emit_report(args, report.to_dict())
 
 
 def _bench_instances(kind: str, dimension: int, size: int, trials: int,
@@ -303,9 +265,8 @@ def _bench_instances(kind: str, dimension: int, size: int, trials: int,
             _, trace = fn(x, y)
         else:
             center = SpdMatrix(np.eye(dimension))
-            config = stochastic.SampleConfig(seed=seed + 1000 + trial, dimension=dimension,
-                                             scale=0.6, count=2 * max(1, size // 2) + 2,
-                                             center=center)
+            config = stochastic.SampleConfig(seed=seed + 1000 + trial, scale=0.6,
+                                             count=2 * max(1, size // 2) + 2, center=center)
             batch = stochastic.sample_spd(config)
             if kind == "ahm":
                 _, trace = binary_means.ahm_iteration(batch[0], batch[1])
@@ -325,18 +286,15 @@ def _bench_instances(kind: str, dimension: int, size: int, trials: int,
     return rows
 
 
-def _run_bench(request: MeanRequest) -> int:
-    opts = {**BENCH_DEFAULTS, **(request.inputs or {})}
-    kind = request.kind or "agm"
-    base, _ = _split_kind(kind)
+def _run_bench(args: argparse.Namespace) -> int:
+    base, _ = _split_kind(args.kind)
     if base not in ("agm", "ahm", "bmp", "alm"):
         raise CliUsageError(
-            f"command 'bench' supports kinds agm, ahm, bmp, alm; got {kind!r}")
-    dimension = opts["dimension"]
+            f"command 'bench' supports kinds agm, ahm, bmp, alm; got {args.kind!r}")
+    dimension = args.dimension
     if base in ("bmp", "alm") and dimension < 2:
         dimension = 3
-    seed = request.seed if request.seed is not None else 0
-    rows = _bench_instances(base, dimension, opts["size"], opts["trials"], seed)
+    rows = _bench_instances(base, dimension, args.size, args.trials, args.seed)
     orders = [r["order_estimate"] for r in rows if r["order_estimate"] is not None]
     report = {
         "command": "bench",
@@ -347,37 +305,7 @@ def _run_bench(request: MeanRequest) -> int:
         "iterations": [r["iterations"] for r in rows],
         "mean_order": float(np.mean(orders)) if orders else None,
     }
-    _emit_report(request, report)
-    return 0
-
-
-def run(request: MeanRequest) -> int:
-    """Dispatch a request; returns the process exit status."""
-    try:
-        if request.tolerance is not None and not request.tolerance > 0:
-            raise CliUsageError("tolerance must be positive")
-        if request.max_iterations is not None and request.max_iterations < 1:
-            raise CliUsageError("max-iterations must be at least 1")
-        handler = {
-            "scalar": _run_scalar,
-            "pair": _run_pair,
-            "multi": _run_multi,
-            "sample": _run_sample,
-            "bench": _run_bench,
-        }.get(request.command)
-        if handler is None:
-            raise CliUsageError(f"unknown command {request.command!r}")
-        return handler(request)
-    except NonConvergenceError as exc:
-        _maybe_write_trace(request, exc.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpdMeansError, OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return _emit_report(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -422,82 +350,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_scalar.add_argument("--kind", required=True)
     p_scalar.add_argument("--x", type=float, required=True)
     p_scalar.add_argument("--y", type=float, required=True)
+    p_scalar.set_defaults(handler=_run_scalar)
     _add_common(p_scalar)
 
     p_pair = sub.add_parser("pair", help="means of two SPD matrices")
     p_pair.add_argument("--kind", required=True)
     p_pair.add_argument("--inputs", required=True, metavar="FILE",
                         help="matrix-set JSON file with exactly two matrices")
+    p_pair.set_defaults(handler=_run_pair)
     _add_common(p_pair)
 
     p_multi = sub.add_parser("multi", help="means of n SPD matrices")
     p_multi.add_argument("--kind", required=True)
     p_multi.add_argument("--inputs", required=True, metavar="FILE")
+    p_multi.set_defaults(handler=_run_multi)
     _add_common(p_multi)
 
     p_sample = sub.add_parser("sample", help="stochastic LLN / CLT experiments")
-    p_sample.add_argument("--experiment", choices=("lln", "clt"))
-    p_sample.add_argument("--dimension", type=int)
-    p_sample.add_argument("--scale", type=float)
-    p_sample.add_argument("--count", type=int,
+    p_sample.add_argument("--experiment", choices=("lln", "clt"), default="lln")
+    p_sample.add_argument("--dimension", type=int, default=3)
+    p_sample.add_argument("--scale", type=float, default=0.3)
+    p_sample.add_argument("--count", type=int, default=10_000,
                           help="samples per batch (lln) or per trial (clt)")
-    p_sample.add_argument("--num-seeds", type=int)
-    p_sample.add_argument("--trials", type=int)
-    p_sample.add_argument("--mu", type=float)
-    p_sample.add_argument("--sigma", type=float)
-    p_sample.add_argument("--power", type=float,
+    p_sample.add_argument("--num-seeds", type=int, default=1)
+    p_sample.add_argument("--trials", type=int, default=1000)
+    p_sample.add_argument("--mu", type=float, default=0.3)
+    p_sample.add_argument("--sigma", type=float, default=0.5)
+    p_sample.add_argument("--power", type=float, default=0.0,
                           help="power-family generator parameter (clt)")
     p_sample.add_argument("--center", metavar="FILE",
                           help="matrix-set file holding the sampling center")
-    p_sample.set_defaults(**SAMPLE_DEFAULTS)
+    p_sample.set_defaults(handler=_run_sample)
     _add_common(p_sample)
 
     p_bench = sub.add_parser("bench", help="convergence-order diagnostics")
     p_bench.add_argument("--kind", required=True,
                          help="one of: agm, ahm, bmp, alm")
-    p_bench.add_argument("--dimension", type=int,
+    p_bench.add_argument("--dimension", type=int, default=1,
                          help="1 for scalar iterations, >= 2 for matrices")
-    p_bench.add_argument("--size", type=int,
+    p_bench.add_argument("--size", type=int, default=3,
                          help="number of matrices for bmp/alm")
-    p_bench.add_argument("--trials", type=int)
-    p_bench.set_defaults(**BENCH_DEFAULTS)
+    p_bench.add_argument("--trials", type=int, default=10)
+    p_bench.set_defaults(handler=_run_bench)
     _add_common(p_bench)
 
     return parser
 
 
-def request_from_args(args: argparse.Namespace) -> MeanRequest:
-    tolerance = args.tolerance if args.tolerance is not None else _env(ENV_TOLERANCE, float)
-    max_iterations = (args.max_iterations if args.max_iterations is not None
-                      else _env(ENV_MAX_ITERS, int))
-    seed = args.seed if args.seed is not None else _env(ENV_SEED, int)
-    command = args.command
-    if command == "scalar":
-        inputs: str | dict | None = {"x": args.x, "y": args.y}
-        kind = args.kind
-    elif command in ("pair", "multi"):
-        inputs = args.inputs
-        kind = args.kind
-    elif command == "sample":
-        inputs = {key: getattr(args, key) for key in SAMPLE_DEFAULTS}
-        kind = None
-    else:
-        inputs = {key: getattr(args, key) for key in BENCH_DEFAULTS}
-        kind = args.kind
-    return MeanRequest(
-        command=command,
-        kind=kind,
-        inputs=inputs,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        seed=seed,
-        output=args.output,
-        trace_path=args.trace,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; returns the process exit status."""
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.list_kinds:
@@ -506,11 +409,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        request = request_from_args(args)
-    except CliUsageError as exc:
+        if args.tolerance is None:
+            args.tolerance = _env(ENV_TOLERANCE, float)
+        if args.max_iterations is None:
+            args.max_iterations = _env(ENV_MAX_ITERS, int)
+        if args.seed is None:
+            args.seed = _env(ENV_SEED, int) or 0
+        if args.tolerance is not None and not args.tolerance > 0:
+            raise CliUsageError("tolerance must be positive")
+        if args.max_iterations is not None and args.max_iterations < 1:
+            raise CliUsageError("max-iterations must be at least 1")
+        return args.handler(args)
+    except NonConvergenceError as exc:
+        _maybe_write_trace(args, exc.trace)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (CliUsageError, SpdMeansError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(request)
 
 
 if __name__ == "__main__":

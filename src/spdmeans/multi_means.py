@@ -22,6 +22,7 @@ from .spd_core import (
     SpdMatrix,
     WeightVector,
     _check_same_dimension,
+    _distances,
     _exp_at,
     _spectral,
     _whiten,
@@ -153,7 +154,7 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
         tangent = _weighted_log_sum(G, Ps, weights)
         if not recorder.record(t, None, float(np.linalg.norm(tangent))):
             return G, recorder.build()
-        G = _exp_at(G, tangent)
+        (G,) = _exp_at(G, tangent)
 
 
 def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[SpdMatrix, ConvergenceTrace]:
@@ -202,12 +203,11 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
         recorder.record(0, None, 0.0)
         return C, recorder.build()
     for t in range(1, steps + 1):
-        distances = [riemannian_distance(C, P) for P in Ps]
+        distances = _distances(C, Ps)
         far = int(np.argmax(distances))
         recorder.record(t - 1, None, max(distances))
         C = geodesic(C, Ps[far], 1.0 / (t + 1))
-    distances = [riemannian_distance(C, P) for P in Ps]
-    recorder.record(steps, None, max(distances))
+    recorder.record(steps, None, max(_distances(C, Ps)))
     return C, recorder.build()
 
 
@@ -250,7 +250,7 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             if dist < MEDIAN_DISTANCE_GUARD:
                 continue
             X = geodesic(X, P, min(1.0, lam / (n * dist)))
-        objective = sum(riemannian_distance(X, P) for P in Ps) / n
+        objective = sum(_distances(X, Ps)) / n
         recorder.record(k + 1, None, objective)
     return X, recorder.build(iterations_used=sweeps)
 
@@ -260,11 +260,9 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
 # ---------------------------------------------------------------------------
 
 def _max_pairwise_distance(mats: Sequence[SpdMatrix]) -> float:
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            worst = max(worst, riemannian_distance(mats[i], mats[j]))
-    return worst
+    """max_{i<j} rho(P_i, P_j), one inverse root per row."""
+    rows = (_distances(mats[i], mats[i + 1:]) for i in range(len(mats) - 1))
+    return max([0.0] + [d for row in rows for d in row])
 
 
 #: A stagnated recursive-mean iteration is accepted as numerically converged
@@ -282,8 +280,6 @@ def _recursive_mean(mats: tuple[SpdMatrix, ...], s_tuple: tuple[float, ...],
     """Limit of one recursion level and its rounds; ``recorder`` holds the
     level's tolerance and cap, and each inner level gets its own."""
     n = len(mats)
-    if n == 1:
-        return mats[0], 0
     rounds = 0
     stalls = 0
     current = mats

@@ -4,10 +4,12 @@ This is the only module that computes an eigendecomposition.  Three
 private 2-D kernels carry the spectral calculus of every mean:
 ``_spectral`` (U f(lambda) U^T from a cached or fresh decomposition; the
 product itself is ``_assemble``), ``_whiten`` (X^{-1/2} Y X^{-1/2}) and
-``_exp_at`` (M^{1/2} exp(S) M^{1/2}).  On them, behind the validated
-:class:`SpdMatrix`, sit spectral matrix functions, the affine-invariant
-Riemannian distance, the weighted-geometric-mean geodesic, weighted
-arithmetic/harmonic means, the Loewner order, and the S-divergence.
+``_exp_at`` (M^{1/2} exp(S) M^{1/2}); the last two take any number of Y
+or S and build the root of X or M once for all of them, as ``_distances``
+does for rho(X, Y).  On them, behind the validated :class:`SpdMatrix`, sit
+spectral matrix functions, the affine-invariant Riemannian distance, the
+weighted-geometric-mean geodesic, weighted arithmetic/harmonic means, the
+Loewner order, and the S-divergence.
 """
 
 from __future__ import annotations
@@ -208,10 +210,16 @@ def _whiten(X: SpdMatrix, *Ys: SpdMatrix) -> list[np.ndarray]:
     return [_symmetrize(rxi @ Y.array @ rxi) for Y in Ys]
 
 
-def _exp_at(M: SpdMatrix, S: np.ndarray) -> SpdMatrix:
-    """Exponential map at M of a symmetric tangent S: M^{1/2} exp(S) M^{1/2}."""
+def _exp_at(M: SpdMatrix, *Ss: np.ndarray) -> list[SpdMatrix]:
+    """[M^{1/2} exp(S) M^{1/2} for each symmetric tangent S], from one root of M."""
     rm = _spectral(M, np.sqrt)
-    return SpdMatrix._trusted(rm @ _spectral(S, np.exp) @ rm)
+    return [SpdMatrix._trusted(rm @ _spectral(S, np.exp) @ rm) for S in Ss]
+
+
+def _distances(X: SpdMatrix, Ys: Sequence[SpdMatrix]) -> list[float]:
+    """[rho(X, Y) for each Y], whitening every Y with one inverse root of X."""
+    return [float(np.sqrt(np.sum(np.log(_positive(np.linalg.eigvalsh(W))) ** 2)))
+            for W in _whiten(X, *Ys)]
 
 
 def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
@@ -221,9 +229,7 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
     root-sum-square of the logs of the whitened eigenvalues.
     """
     _check_same_dimension(P1, P2)
-    (whitened,) = _whiten(P1, P2)
-    lam = _positive(np.linalg.eigvalsh(whitened))
-    return float(np.sqrt(np.sum(np.log(lam) ** 2)))
+    return _distances(P1, [P2])[0]
 
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:

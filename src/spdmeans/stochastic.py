@@ -22,6 +22,7 @@ import numpy as np
 
 from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
+from .multi_means import karcher_residual
 from .scalar_means import QuasiArithmeticGenerator
 from .spd_core import SpdMatrix, _exp_at, _symmetrize, geodesic, riemannian_distance
 
@@ -39,7 +40,6 @@ class SampleConfig:
     """Seeded description of one SPD sample batch around a known center."""
 
     seed: int
-    dimension: int
     scale: float
     count: int
     center: SpdMatrix
@@ -49,10 +49,6 @@ class SampleConfig:
             raise DomainError(f"scale must be nonnegative, got {self.scale!r}")
         if self.count < 1:
             raise DomainError(f"count must be at least 1, got {self.count!r}")
-        if self.center.dimension != self.dimension:
-            raise ShapeError(
-                f"center has dimension {self.center.dimension}, expected {self.dimension}"
-            )
         if self.scale > 0 and self.count % 2 != 0:
             raise DomainError(
                 "count must be even so samples can be emitted in antithetic pairs"
@@ -78,12 +74,11 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     if config.scale == 0.0:
         return [config.center] * config.count
     rng = _substream(config.seed, 0)
-    out: list[SpdMatrix] = []
+    tangents = []
     for _ in range(config.count // 2):
-        s = _tangent_sample(rng, config.dimension, config.scale)
-        out.append(_exp_at(config.center, s))
-        out.append(_exp_at(config.center, -s))
-    return out
+        s = _tangent_sample(rng, config.center.dimension, config.scale)
+        tangents += [s, -s]
+    return _exp_at(config.center, *tangents)
 
 
 def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
@@ -180,8 +175,6 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
     The sample variance is reported both at the known center and at the
     inductive estimate; the two need not agree and are not equated.
     """
-    from .multi_means import karcher_residual
-
     counts = sorted(int(c) for c in counts)
     if not counts:
         raise DomainError("need at least one sample count")
@@ -192,8 +185,7 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
     var_center: list[float] = []
     var_estimate: list[float] = []
     for seed in seeds:
-        config = SampleConfig(seed=int(seed), dimension=center.dimension,
-                              scale=scale, count=counts[-1], center=center)
+        config = SampleConfig(seed=int(seed), scale=scale, count=counts[-1], center=center)
         batch = sample_spd(config)
         order = _substream(int(seed), 2).permutation(len(batch))
         stream = [batch[i] for i in order]

@@ -119,7 +119,7 @@ TOLERANCE_LOOPS = {
 
 def _walk_sample():
     center = _mats(1)[0]
-    config = SampleConfig(seed=3, dimension=3, scale=0.3, count=40, center=center)
+    config = SampleConfig(seed=3, scale=0.3, count=40, center=center)
     return inductive_expectation(sample_spd(config), center=center)
 
 

@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from spdmeans import MatrixSetError, SpdMatrix
-from spdmeans.cli import (
-    MeanRequest,
-    build_parser,
-    kinds_for_command,
-    main,
-    registry_listing,
-    run,
-)
+from spdmeans.cli import build_parser, kinds_for_command, main, registry_listing
 from spdmeans.convergence import ConvergenceTrace, TraceStep
 from spdmeans.matrix_io import (
     parse_matrix_set,
@@ -324,6 +317,69 @@ def test_bench_matrix_ahm(capsys):
     assert 1.7 <= doc["mean_order"] <= 2.3
 
 
+def test_sample_lln_center_file_sets_dimension(tmp_path, capsys):
+    center = write_set(tmp_path, {"d": 2, "matrices": [[2, 0.5, 0.5, 1]]})
+    assert main(["sample", "--experiment", "lln", "--center", center,
+                 "--scale", "0.2", "--count", "20", "--output", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == 2
+    assert max(doc["residual_at_center"]) <= 1e-12
+    two = write_set(tmp_path, {"d": 1, "matrices": [[1], [2]]}, name="two.json")
+    assert main(["sample", "--center", two, "--count", "20"]) == 1
+    assert "exactly one matrix" in capsys.readouterr().err
+
+
+def test_sample_report_csv_and_human(capsys):
+    args = ["sample", "--experiment", "clt", "--count", "50", "--trials", "20",
+            "--seed", "2"]
+    assert main(args + ["--output", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(args + ["--output", "csv"]) == 0
+    header, values = capsys.readouterr().out.strip().splitlines()
+    assert header.split(",") == list(doc)
+    assert values.split(",")[header.split(",").index("n")] == "50"
+    assert main(args) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [f"{key}: {value}" for key, value in doc.items()]
+    assert main(["sample", "--experiment", "lln", "--dimension", "2", "--scale", "0.2",
+                 "--count", "20", "--output", "csv"]) == 0
+    header, values = capsys.readouterr().out.strip().splitlines()
+    assert header.split(",") == ["experiment", "dimension", "scale"]
+    assert values == "lln,2,0.2"
+
+
+@pytest.mark.parametrize("kind", ["bmp", "alm"])
+def test_bench_recursive_kinds(kind, capsys):
+    assert main(["bench", "--kind", kind, "--trials", "2", "--seed", "0",
+                 "--output", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == kind and doc["dimension"] == 3 and doc["trials"] == 2
+    assert all(n >= 1 for n in doc["iterations"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["scalar", "--kind", "agm", "--x", "1", "--y", "1000"],
+    ["pair", "--kind", "ahm"],
+    ["multi", "--kind", "karcher"],
+    ["multi", "--kind", "alm"],
+])
+def test_tolerance_flag_reaches_the_iteration(argv, tmp_path, capsys):
+    if argv[0] == "pair":
+        argv = argv + ["--inputs", write_set(tmp_path, {"d": 2, "matrices": [
+            [2, 0.3, 0.3, 1], [1, -0.2, -0.2, 3]]})]
+    elif argv[0] == "multi":
+        argv = argv + ["--inputs", write_set(tmp_path, {"d": 2, "matrices": [
+            [2, 0.3, 0.3, 1], [1, -0.2, -0.2, 3], [1.5, 0.1, 0.1, 0.5]]})]
+    paths = tmp_path / "loose.json", tmp_path / "default.json"
+    assert main(argv + ["--tolerance", "1e-4", "--trace", str(paths[0])]) == 0
+    assert main(argv + ["--trace", str(paths[1])]) == 0
+    capsys.readouterr()
+    loose, default = (json.loads(p.read_text())["steps"] for p in paths)
+    assert loose[-1]["error"] <= 1e-4
+    # the looser tolerance stops the iteration earlier than the default one
+    assert len(loose) < len(default)
+
+
 def test_env_variable_precedence(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPDMEANS_MAX_ITERS", "2")
     code = main(["scalar", "--kind", "agm", "--x", "1", "--y", "1000"])
@@ -346,29 +402,6 @@ def test_env_seed_matches_flag_seed(capsys, monkeypatch):
     assert main(args) == 0
     by_env = capsys.readouterr().out
     assert by_flag == by_env
-
-
-def test_run_with_request_object(tmp_path):
-    request = MeanRequest(command="scalar", kind="geometric",
-                          inputs={"x": 4.0, "y": 9.0}, output="json")
-    assert run(request) == 0
-
-
-def test_request_in_code_matches_command_line_defaults(capsys):
-    # A request that omits an option runs the same experiment as the
-    # command line that omits the flag.
-    request = MeanRequest(command="sample", inputs={"experiment": "clt", "trials": 20},
-                          seed=3, output="json")
-    assert run(request) == 0
-    in_code = json.loads(capsys.readouterr().out)
-    assert main(["sample", "--experiment", "clt", "--trials", "20", "--seed", "3",
-                 "--output", "json"]) == 0
-    assert in_code == json.loads(capsys.readouterr().out)
-    request = MeanRequest(command="bench", kind="agm", inputs={"trials": 2}, output="json")
-    assert run(request) == 0
-    in_code = json.loads(capsys.readouterr().out)
-    assert main(["bench", "--kind", "agm", "--trials", "2", "--output", "json"]) == 0
-    assert in_code == json.loads(capsys.readouterr().out)
 
 
 def test_parser_builds():

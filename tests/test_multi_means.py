@@ -338,3 +338,13 @@ def test_recursive_round_cap(rng):
     mats = [random_spd(rng, 3) for _ in range(3)]
     with pytest.raises(NonConvergenceError):
         recursive_geometric_mean(mats, RecursiveMeanParams.alm(3), max_rounds=2)
+
+
+def test_recursive_stagnation_raises_with_partial_trace(rng):
+    # roundoff floors the spread near 1e-15, so 1e-16 can never be met
+    mats = [random_spd(rng, 3) for _ in range(3)]
+    with pytest.raises(NonConvergenceError, match="stagnated") as err:
+        recursive_geometric_mean(mats, RecursiveMeanParams.bmp(3), tol=1e-16)
+    trace = err.value.trace
+    assert trace is not None and not trace.converged
+    assert trace.steps and trace.steps[-1].error > 1e-16

@@ -21,6 +21,7 @@ from spdmeans import (
     weighted_arithmetic,
     weighted_harmonic,
 )
+from spdmeans.spd_core import _distances, _exp_at, _symmetrize
 from tests.conftest import random_invertible, random_spd
 
 
@@ -192,6 +193,16 @@ def test_distance_against_generalized_eig_oracle(rng):
         x, y = random_spd(rng, d, 1.5), random_spd(rng, d, 1.5)
         assert riemannian_distance(x, y) == pytest.approx(
             generalized_eig_distance(x, y), rel=1e-9)
+
+
+def test_fan_out_kernels_match_one_at_a_time(rng):
+    # one root of the base serves every target, with the arithmetic of a single call
+    x = random_spd(rng, 4, 2.0)
+    ys = [random_spd(rng, 4, 2.0) for _ in range(5)]
+    assert _distances(x, ys) == [riemannian_distance(x, y) for y in ys]
+    tangents = [_symmetrize(rng.normal(size=(4, 4))) for _ in range(3)]
+    for s, m in zip(tangents, _exp_at(x, *tangents)):
+        np.testing.assert_array_equal(m.array, _exp_at(x, s)[0].array)
 
 
 def test_distance_congruence_invariance(rng):

@@ -29,8 +29,7 @@ from tests.conftest import random_spd
 
 def make_config(seed=0, dimension=3, scale=0.3, count=100, center=None):
     center = center or SpdMatrix(np.eye(dimension))
-    return SampleConfig(seed=seed, dimension=dimension, scale=scale,
-                        count=count, center=center)
+    return SampleConfig(seed=seed, scale=scale, count=count, center=center)
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +41,6 @@ def test_config_validation(rng):
         make_config(scale=-0.1)
     with pytest.raises(DomainError):
         make_config(count=0)
-    with pytest.raises(ShapeError):
-        SampleConfig(seed=0, dimension=2, scale=0.1, count=4,
-                     center=SpdMatrix(np.eye(3)))
     # odd counts cannot form antithetic pairs
     with pytest.raises(DomainError):
         make_config(count=7)
@@ -78,8 +74,7 @@ def test_antithetic_batch_residual_is_zero(rng):
 def test_samples_are_valid_spd_and_bounded(rng):
     center = random_spd(rng, 2)
     scale = 0.5
-    batch = sample_spd(make_config(seed=4, dimension=2, count=40, center=center,
-                                   scale=scale))
+    batch = sample_spd(make_config(seed=4, count=40, center=center, scale=scale))
     for x in batch:
         # tangent coordinates are clipped at 4 sigma, so the distance to
         # the center is bounded by 4 sigma * sqrt(d(d+1)/2 - ish)
@@ -173,8 +168,8 @@ def test_lln_experiment_off_decade_counts_match_prefix_replay(rng):
     counts = [30, 250, 400]
     report = lln_experiment(center, 0.3, counts, seeds=[4, 5])
     for seed, row in zip(report.seeds, report.errors):
-        batch = sample_spd(SampleConfig(seed=seed, dimension=3, scale=0.3,
-                                        count=counts[-1], center=center))
+        batch = sample_spd(SampleConfig(seed=seed, scale=0.3, count=counts[-1],
+                                        center=center))
         order = _substream(seed, 2).permutation(len(batch))
         stream = [batch[i] for i in order]
         replayed = [riemannian_distance(inductive_expectation(stream[:c])[0], center)
