@@ -45,6 +45,8 @@ def matrix_set_from_document(doc: dict) -> MatrixTuple:
             raise MatrixSetError(
                 f"matrix {index}: expected {d * d} row-major numbers: {exc}"
             ) from exc
+        if not np.all(np.isfinite(arr)):
+            raise MatrixSetError(f"matrix {index} has non-finite entries")
         scale = float(np.abs(arr).max()) or 1.0
         asym = float(np.abs(arr - arr.T).max())
         if asym > ASYMMETRY_TOLERANCE * scale:
@@ -67,8 +69,9 @@ def matrix_set_from_document(doc: dict) -> MatrixTuple:
 def parse_matrix_set(path: str | Path) -> MatrixTuple:
     """Read and validate a matrix-set JSON file.
 
-    Rejects unparsable documents, wrong entry counts, asymmetry beyond
-    tolerance, and non-PD matrices, naming the offending matrix index.
+    Rejects unparsable documents, wrong entry counts, non-finite entries,
+    asymmetry beyond tolerance, and non-PD matrices, naming the offending
+    matrix index.
     """
     try:
         text = Path(path).read_text()

@@ -22,9 +22,10 @@ from .spd_core import (
     SpdMatrix,
     WeightVector,
     _check_same_dimension,
-    _distances,
     _exp_at,
+    _fan_out_distances,
     _spectral,
+    _stacks,
     _whiten,
     geodesic,
     riemannian_distance,
@@ -106,12 +107,13 @@ class RecursiveMeanParams:
 # Karcher mean machinery
 # ---------------------------------------------------------------------------
 
-def _weighted_log_sum(G: SpdMatrix, Ps: MatrixTuple, weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of the whitened logs log(G^{-1/2} P_i G^{-1/2})."""
-    whitened = _whiten(G, *Ps)
+def _weighted_log_sum(G: SpdMatrix, stacks: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of the whitened logs log(G^{-1/2} P_i G^{-1/2}) of the
+    matrices in ``stacks``: one eigh per stack, then the terms added in order."""
+    logs = (log for stack in stacks for log in _spectral(_whiten(G, stack), np.log))
     acc = np.zeros_like(G.array)
-    for w, W in zip(weights, whitened):
-        acc = acc + w * _spectral(W, np.log)
+    for w, log in zip(weights, logs):
+        acc = acc + w * log
     if not np.all(np.isfinite(acc)):
         raise DomainError("function is not finite on the spectrum")
     return acc
@@ -125,9 +127,11 @@ def karcher_residual(G: SpdMatrix, Ps) -> float:
     """
     Ps = as_matrix_tuple(Ps)
     _check_same_dimension(G, Ps)
-    n = len(Ps)
-    acc = _weighted_log_sum(G, Ps, np.ones(n))
-    return float(np.linalg.norm(acc) / n)
+    return _residual(G, _stacks(Ps), len(Ps))
+
+
+def _residual(G: SpdMatrix, stacks: list[np.ndarray], n: int) -> float:
+    return float(np.linalg.norm(_weighted_log_sum(G, stacks, np.ones(n))) / n)
 
 
 def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
@@ -148,13 +152,13 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
         raise DomainError(f"{len(Ps)} matrices but {len(w)} weights")
     # max_iter counts residual evaluations: the step index is the evaluation.
     recorder = TraceRecorder(tol, max_iter, "Karcher refinement", order_floor=MATRIX_ORDER_FLOOR)
-    weights = w.values
+    weights, stacks = w.values, _stacks(Ps)
     G = G0
     for t in count(1):
-        tangent = _weighted_log_sum(G, Ps, weights)
+        tangent = _weighted_log_sum(G, stacks, weights)
         if not recorder.record(t, None, float(np.linalg.norm(tangent))):
             return G, recorder.build()
-        (G,) = _exp_at(G, tangent)
+        G = SpdMatrix._trusted(_exp_at(G, tangent))
 
 
 def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[SpdMatrix, ConvergenceTrace]:
@@ -174,11 +178,11 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
         return Ps[0], recorder.build()
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
-    M = Ps[0]
+    M, stacks = Ps[0], _stacks(Ps)
     for t in range(1, steps + 1):
         M = geodesic(M, Ps[t % n], 1.0 / (t + 1))
         if t % n == 0:
-            recorder.record(t, None, karcher_residual(M, Ps))
+            recorder.record(t, None, _residual(M, stacks, n))
     return M, recorder.build(iterations_used=steps)
 
 
@@ -202,12 +206,13 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     if len(Ps) == 1:
         recorder.record(0, None, 0.0)
         return C, recorder.build()
+    stacks = _stacks(Ps)
     for t in range(1, steps + 1):
-        distances = _distances(C, Ps)
+        distances = _fan_out_distances(C, stacks)
         far = int(np.argmax(distances))
-        recorder.record(t - 1, None, max(distances))
+        recorder.record(t - 1, None, float(distances[far]))
         C = geodesic(C, Ps[far], 1.0 / (t + 1))
-    recorder.record(steps, None, max(_distances(C, Ps)))
+    recorder.record(steps, None, float(_fan_out_distances(C, stacks).max()))
     return C, recorder.build()
 
 
@@ -239,7 +244,7 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             raise DomainError(f"schedule has {len(values)} entries but {sweeps} sweeps requested")
         schedule = lambda k: values[k]
     n = len(Ps)
-    X = Ps[0]
+    X, stacks = Ps[0], _stacks(Ps)
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     for k in range(sweeps):
         lam = float(schedule(k))
@@ -250,7 +255,7 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             if dist < MEDIAN_DISTANCE_GUARD:
                 continue
             X = geodesic(X, P, min(1.0, lam / (n * dist)))
-        objective = sum(_distances(X, Ps)) / n
+        objective = sum(_fan_out_distances(X, stacks).tolist()) / n
         recorder.record(k + 1, None, objective)
     return X, recorder.build(iterations_used=sweeps)
 
@@ -261,7 +266,8 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
 
 def _max_pairwise_distance(mats: Sequence[SpdMatrix]) -> float:
     """max_{i<j} rho(P_i, P_j), one inverse root per row."""
-    rows = (_distances(mats[i], mats[i + 1:]) for i in range(len(mats) - 1))
+    rows = (_fan_out_distances(mats[i], _stacks(mats[i + 1:])).tolist()
+            for i in range(len(mats) - 1))
     return max([0.0] + [d for row in rows for d in row])
 
 

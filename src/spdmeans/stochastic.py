@@ -24,7 +24,17 @@ from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
 from .multi_means import karcher_residual
 from .scalar_means import QuasiArithmeticGenerator
-from .spd_core import SpdMatrix, _exp_at, _symmetrize, geodesic, riemannian_distance
+from .spd_core import (
+    SpdMatrix,
+    _check_same_dimension,
+    _exp_at,
+    _fan_out_distances,
+    _slices,
+    _stacks,
+    _symmetrize,
+    geodesic,
+    riemannian_distance,
+)
 
 #: Tangent samples are clipped to this many standard deviations, which
 #: keeps the sampling distribution inside a bounded support.
@@ -55,30 +65,28 @@ class SampleConfig:
             )
 
 
-def _tangent_sample(rng: np.random.Generator, d: int, scale: float) -> np.ndarray:
-    s = np.zeros((d, d))
-    idx = np.triu_indices(d)
-    draws = np.clip(rng.normal(0.0, scale, size=len(idx[0])),
-                    -TRUNCATION_SIGMAS * scale, TRUNCATION_SIGMAS * scale)
-    s[idx] = draws
-    return _symmetrize(s + np.triu(s, 1).T)
-
-
 def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     """Draw an antithetic batch X_i = M^{1/2} exp(S_i) M^{1/2}.
 
     The tangent matrices come in (+S, -S) pairs so they sum to zero
     exactly: the Karcher-equation residual of the batch at M vanishes by
-    construction.  Batches are deterministic in the seed.
+    construction.  Batches are deterministic in the seed: pair i takes
+    the i-th run of d(d+1)/2 normals of the seed's stream as the upper
+    triangle of S_i, row by row.
     """
     if config.scale == 0.0:
         return [config.center] * config.count
-    rng = _substream(config.seed, 0)
-    tangents = []
-    for _ in range(config.count // 2):
-        s = _tangent_sample(rng, config.center.dimension, config.scale)
-        tangents += [s, -s]
-    return _exp_at(config.center, *tangents)
+    d, scale, pairs = config.center.dimension, config.scale, config.count // 2
+    upper = np.triu_indices(d)
+    s = np.zeros((pairs, d, d))
+    s[:, upper[0], upper[1]] = np.clip(
+        _substream(config.seed, 0).normal(0.0, scale, size=(pairs, len(upper[0]))),
+        -TRUNCATION_SIGMAS * scale, TRUNCATION_SIGMAS * scale)
+    s = _symmetrize(s + np.triu(s, 1).mT)
+    tangents = np.empty((config.count, d, d))
+    tangents[0::2], tangents[1::2] = s, -s
+    return [X for part in _slices(tangents)
+            for X in SpdMatrix._trusted_stack(_exp_at(config.center, part))]
 
 
 def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
@@ -123,11 +131,13 @@ def inductive_expectation(samples: Iterable[SpdMatrix],
 
 
 def spd_variance(samples: Sequence[SpdMatrix], center: SpdMatrix) -> float:
-    """Mean squared Riemannian distance (1/n) sum_i rho^2(X_i, center)."""
+    """Mean squared Riemannian distance (1/n) sum_i rho^2(X_i, center),
+    with every sample whitened by one inverse root of the center."""
     samples = list(samples)
     if not samples:
         raise DomainError("need at least one sample")
-    return float(np.mean([riemannian_distance(X, center) ** 2 for X in samples]))
+    _check_same_dimension(center, *samples)
+    return float(np.mean(_fan_out_distances(center, _stacks(samples)) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +190,17 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
         raise DomainError("need at least one sample count")
     if counts[0] < 1:
         raise DomainError(f"sample counts must be at least 1, got {counts[0]}")
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise DomainError("need at least one seed")
     errors: list[tuple[float, ...]] = []
     residuals: list[float] = []
     var_center: list[float] = []
     var_estimate: list[float] = []
     for seed in seeds:
-        config = SampleConfig(seed=int(seed), scale=scale, count=counts[-1], center=center)
+        config = SampleConfig(seed=seed, scale=scale, count=counts[-1], center=center)
         batch = sample_spd(config)
-        order = _substream(int(seed), 2).permutation(len(batch))
+        order = _substream(seed, 2).permutation(len(batch))
         stream = [batch[i] for i in order]
         estimate, trace = _inductive_walk(stream, center, iter(sorted(set(counts))))
         by_step = {s.step: s.error for s in trace.steps}
@@ -201,7 +214,7 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
         dimension=center.dimension,
         scale=scale,
         counts=tuple(counts),
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         errors=tuple(errors),
         median_errors=medians,
         residual_at_center=tuple(residuals),

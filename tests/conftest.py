@@ -29,7 +29,7 @@ def perturb_spd(P: SpdMatrix, radius: float, rng: np.random.Generator) -> SpdMat
     d = P.dimension
     s = _symmetrize(rng.normal(size=(d, d)))
     s *= radius / np.linalg.norm(s)
-    return _exp_at(P, s)[0]
+    return SpdMatrix._trusted(_exp_at(P, s))
 
 
 def psd_decrement(P: SpdMatrix, rng: np.random.Generator, frac: float = 0.3) -> SpdMatrix:

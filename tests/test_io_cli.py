@@ -56,6 +56,15 @@ def test_parse_rejects_asymmetry(tmp_path):
     assert "asymmetry" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_parse_rejects_non_finite_entries_with_index(tmp_path, entry):
+    # json.loads accepts both spellings; they must not reach the asymmetry check
+    path = tmp_path / "set.json"
+    path.write_text(f'{{"d": 2, "matrices": [[1, 0, 0, 1], [1, 0, 0, {entry}]]}}')
+    with pytest.raises(MatrixSetError, match="matrix 1 has non-finite entries"):
+        parse_matrix_set(str(path))
+
+
 def test_parse_rejects_malformed(tmp_path):
     for doc in ({"matrices": [[1]]}, {"d": 0, "matrices": [[1]]},
                 {"d": 2, "matrices": [[1, 2, 3]]}, {"d": 1, "matrices": []}):
@@ -289,6 +298,14 @@ def test_sample_lln_json(capsys):
     assert doc["experiment"] == "lln"
     assert doc["counts"][-1] == 200
     assert max(doc["residual_at_center"]) <= 1e-12
+
+
+def test_sample_lln_without_seeds_is_input_error(capsys):
+    assert main(["sample", "--experiment", "lln", "--num-seeds", "0",
+                 "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err
 
 
 def test_sample_clt_json(capsys):

@@ -2,7 +2,8 @@
 
 Eigendecompositions are computed in spd_core only: every other module
 reaches spectral calculus through the kernels in ``spd_core``
-(``_spectral``, ``_whiten``, ``_exp_at``) or its public operations, so a
+(``_spectral``, ``_whiten``, ``_exp_at``, ``_distances``, each taking a
+``(d, d)`` array or an ``(n, d, d)`` stack) or its public operations, so a
 change of eigensolver or batching touches one module.  The trace
 contract lives in ``convergence``: only ``TraceRecorder`` decides
 ``converged`` and raises the budget-cap NonConvergenceError.

@@ -63,6 +63,15 @@ def test_karcher_residual_examples(rng):
         0.5 * riemannian_distance(x, y), rel=1e-10)
 
 
+def test_karcher_residual_rejects_dimension_mismatch():
+    # checked before the matrices are stacked, so numpy never sees ragged shapes
+    eye2, eye3 = SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))
+    with pytest.raises(ShapeError):
+        karcher_residual(eye2, [eye3, eye3])
+    with pytest.raises(ShapeError):
+        karcher_residual(eye2, [eye2, eye3])
+
+
 def test_karcher_refine_trivial(rng):
     p = random_spd(rng, 3)
     out, trace = karcher_refine(p, [p, p, p], tol=1e-12)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdmeans import (
     DefinitenessError,
@@ -21,7 +23,16 @@ from spdmeans import (
     weighted_arithmetic,
     weighted_harmonic,
 )
-from spdmeans.spd_core import _distances, _exp_at, _symmetrize
+from spdmeans.multi_means import _weighted_log_sum
+from spdmeans.spd_core import (
+    _distances,
+    _exp_at,
+    _fan_out_distances,
+    _spectral,
+    _stacks,
+    _symmetrize,
+    _whiten,
+)
 from tests.conftest import random_invertible, random_spd
 
 
@@ -195,14 +206,29 @@ def test_distance_against_generalized_eig_oracle(rng):
             generalized_eig_distance(x, y), rel=1e-9)
 
 
-def test_fan_out_kernels_match_one_at_a_time(rng):
-    # one root of the base serves every target, with the arithmetic of a single call
-    x = random_spd(rng, 4, 2.0)
-    ys = [random_spd(rng, 4, 2.0) for _ in range(5)]
-    assert _distances(x, ys) == [riemannian_distance(x, y) for y in ys]
-    tangents = [_symmetrize(rng.normal(size=(4, 4))) for _ in range(3)]
-    for s, m in zip(tangents, _exp_at(x, *tangents)):
-        np.testing.assert_array_equal(m.array, _exp_at(x, s)[0].array)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), n=st.integers(1, 12),
+       spread=st.floats(0.0, 3.0), sections=st.integers(1, 12))
+def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, sections):
+    # a stack, whole or in slices, goes through the arithmetic of each matrix alone
+    rng = np.random.default_rng(seed)
+    x = random_spd(rng, d, spread)
+    ys = [random_spd(rng, d, spread) for _ in range(n)]
+    stack = np.stack([y.array for y in ys])
+    slices = np.array_split(stack, min(sections, n))
+    one_at_a_time = [float(_distances(x, y.array)) for y in ys]
+    assert _distances(x, stack).tolist() == one_at_a_time
+    assert _fan_out_distances(x, slices).tolist() == one_at_a_time
+    assert _fan_out_distances(x, _stacks(ys)).tolist() == one_at_a_time
+    assert one_at_a_time == [riemannian_distance(x, y) for y in ys]
+    tangents = _symmetrize(rng.normal(size=(n, d, d)))
+    for s, m in zip(tangents, _exp_at(x, tangents)):
+        np.testing.assert_array_equal(m, _exp_at(x, s))
+    weights = rng.uniform(0.0, 1.0, size=n)
+    expected = np.zeros((d, d))
+    for w, y in zip(weights, ys):
+        expected = expected + w * _spectral(_whiten(x, y.array), np.log)
+    np.testing.assert_array_equal(_weighted_log_sum(x, slices, weights), expected)
 
 
 def test_distance_congruence_invariance(rng):

@@ -23,7 +23,9 @@ from spdmeans import (
     weighted_arithmetic,
     WeightVector,
 )
-from spdmeans.stochastic import _substream
+from spdmeans import spd_core
+from spdmeans.spd_core import _exp_at, _symmetrize
+from spdmeans.stochastic import TRUNCATION_SIGMAS, _substream
 from tests.conftest import random_spd
 
 
@@ -113,6 +115,32 @@ def test_inductive_expectation_errors():
         inductive_expectation([SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))])
 
 
+@pytest.mark.parametrize("slice_matrices", [None, 3])
+@pytest.mark.parametrize("spread", [0.0, 1.0])
+def test_sample_spd_matches_per_pair_reference(rng, monkeypatch, spread, slice_matrices):
+    # one normal draw for the whole batch and stacked exps (in one slice, or
+    # in slices of three matrices) reproduce, bit for bit, a pair-by-pair draw
+    # of d(d+1)/2 normals on the seed's stream
+    d, seed, scale, pairs = 4, 23, 0.5, 7
+    if slice_matrices:
+        monkeypatch.setattr(spd_core, "_SLICE_BYTES", slice_matrices * d * d * 8)
+    center = random_spd(rng, d, spread) if spread else SpdMatrix(np.eye(d))
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+    upper = np.triu_indices(d)
+    expected = []
+    for _ in range(pairs):
+        s = np.zeros((d, d))
+        s[upper] = np.clip(stream.normal(0.0, scale, size=len(upper[0])),
+                           -TRUNCATION_SIGMAS * scale, TRUNCATION_SIGMAS * scale)
+        s = _symmetrize(s + np.triu(s, 1).T)
+        expected += [SpdMatrix._trusted(_exp_at(center, s)),
+                     SpdMatrix._trusted(_exp_at(center, -s))]
+    batch = sample_spd(make_config(seed=seed, scale=scale, count=2 * pairs, center=center))
+    assert len(batch) == len(expected)
+    for got, want in zip(batch, expected):
+        np.testing.assert_array_equal(got.array, want.array)
+
+
 # ---------------------------------------------------------------------------
 # Variance
 # ---------------------------------------------------------------------------
@@ -124,6 +152,15 @@ def test_variance_trivial_and_two_point(rng):
     mid = geodesic(x, y, 0.5)
     expected = riemannian_distance(x, y) ** 2 / 4
     assert spd_variance([x, y], mid) == pytest.approx(expected, rel=1e-10)
+
+
+def test_variance_rejects_dimension_mismatch():
+    # checked before the samples are stacked, so numpy never sees ragged shapes
+    eye2, eye3 = SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))
+    with pytest.raises(ShapeError):
+        spd_variance([eye3, eye3], eye2)
+    with pytest.raises(ShapeError):
+        spd_variance([eye2, eye3], eye2)
 
 
 def test_variance_sigma_scaling():
@@ -180,6 +217,11 @@ def test_lln_experiment_off_decade_counts_match_prefix_replay(rng):
 def test_lln_experiment_rejects_nonpositive_count():
     with pytest.raises(DomainError):
         lln_experiment(SpdMatrix(np.eye(2)), 0.3, [0, 10], seeds=[0])
+
+
+def test_lln_experiment_rejects_empty_seed_list():
+    with pytest.raises(DomainError, match="seed"):
+        lln_experiment(SpdMatrix(np.eye(2)), 0.3, [10], seeds=[])
 
 
 # ---------------------------------------------------------------------------
