@@ -24,11 +24,12 @@ from .spd_core import (
     _check_same_dimension,
     _exp_at,
     _fan_out_distances,
+    _rho,
     _spectral,
     _stacks,
     _whiten,
+    _Walk,
     geodesic,
-    riemannian_distance,
 )
 
 KARCHER_REFINE_MAX_ITERATIONS = 500
@@ -178,12 +179,12 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
         return Ps[0], recorder.build()
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
-    M, stacks = Ps[0], _stacks(Ps)
+    walk, stacks = _Walk(Ps[0]), _stacks(Ps)
     for t in range(1, steps + 1):
-        M = geodesic(M, Ps[t % n], 1.0 / (t + 1))
+        walk.step(Ps[t % n].array, 1.0 / (t + 1))
         if t % n == 0:
-            recorder.record(t, None, _residual(M, stacks, n))
-    return M, recorder.build(iterations_used=steps)
+            recorder.record(t, None, _residual(walk.mean(), stacks, n))
+    return walk.mean(), recorder.build(iterations_used=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +207,15 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     if len(Ps) == 1:
         recorder.record(0, None, 0.0)
         return C, recorder.build()
-    stacks = _stacks(Ps)
+    walk, stacks = _Walk(C), _stacks(Ps)
     for t in range(1, steps + 1):
-        distances = _fan_out_distances(C, stacks)
+        mu, vecs = (np.concatenate(parts) for parts in zip(*map(walk.spectra, stacks)))
+        distances = _rho(mu)
         far = int(np.argmax(distances))
         recorder.record(t - 1, None, float(distances[far]))
-        C = geodesic(C, Ps[far], 1.0 / (t + 1))
-    recorder.record(steps, None, float(_fan_out_distances(C, stacks).max()))
-    return C, recorder.build()
+        walk.advance(mu[far], vecs[far], 1.0 / (t + 1))
+    recorder.record(steps, None, float(walk.distances(stacks).max()))
+    return walk.mean(), recorder.build()
 
 
 def _default_lambda_schedule(k: int) -> float:
@@ -225,11 +227,14 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
     """Riemannian median by the cyclic proximal-point scheme.
 
     Sweep k walks once through the inputs, stepping from the current
-    iterate toward P_i by t = min(1, lambda_k / (n rho(P_i, X))); steps
+    iterate toward P_i by t = min(1, lambda_k / (n rho(X, P_i))); steps
     toward a point the iterate already sits on (rho below 1e-14) are
-    skipped.  The schedule must satisfy sum lambda_k = inf and
-    sum lambda_k^2 < inf (default lambda_k = 1/(k+1)).  The trace records
-    the median objective (1/n) sum_i rho(X, P_i) after each sweep.
+    skipped.  rho(X, P_i) and the step come from one eigendecomposition
+    of P_i whitened through the walk's factor of X, so the guard measures
+    rho at the iterate X, not at P_i.  The schedule must satisfy
+    sum lambda_k = inf and sum lambda_k^2 < inf (default
+    lambda_k = 1/(k+1)).  The trace records the median objective
+    (1/n) sum_i rho(X, P_i) after each sweep.
     """
     Ps = as_matrix_tuple(Ps)
     if sweeps < 1:
@@ -244,20 +249,21 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             raise DomainError(f"schedule has {len(values)} entries but {sweeps} sweeps requested")
         schedule = lambda k: values[k]
     n = len(Ps)
-    X, stacks = Ps[0], _stacks(Ps)
+    walk, stacks = _Walk(Ps[0]), _stacks(Ps)
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     for k in range(sweeps):
         lam = float(schedule(k))
         if lam <= 0:
             raise DomainError(f"lambda schedule must be positive, got {lam} at sweep {k}")
         for P in Ps:
-            dist = riemannian_distance(P, X)
+            mu, vecs = walk.spectra(P.array)
+            dist = float(_rho(mu))
             if dist < MEDIAN_DISTANCE_GUARD:
                 continue
-            X = geodesic(X, P, min(1.0, lam / (n * dist)))
-        objective = sum(_fan_out_distances(X, stacks).tolist()) / n
+            walk.advance(mu, vecs, min(1.0, lam / (n * dist)))
+        objective = sum(walk.distances(stacks).tolist()) / n
         recorder.record(k + 1, None, objective)
-    return X, recorder.build(iterations_used=sweeps)
+    return walk.mean(), recorder.build(iterations_used=sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ for up to 1,820 matrices at d = 3.  On them, behind the validated
 :class:`SpdMatrix`, sit spectral matrix functions, the affine-invariant
 Riemannian distance, the weighted-geometric-mean geodesic, weighted
 arithmetic/harmonic means, the Loewner order, and the S-divergence.
+
+A walk of many geodesic steps (the inductive, Holbrook, circumcenter and
+median iterations) keeps its state in ``_Walk``: a factor F of the
+iterate M = F F^T and G = F^{-1}.  One eigh of the whitened G P G^T both
+takes the step toward P and gives rho(M, P), where ``geodesic`` takes two;
+the one-shot ``geodesic`` and ``riemannian_distance`` keep their own
+arithmetic.
 """
 
 from __future__ import annotations
@@ -213,9 +220,14 @@ def _spectral(source, f: Callable) -> np.ndarray:
 
 def _positive(lam: np.ndarray) -> np.ndarray:
     """Pass whitened eigenvalues through, or raise if roundoff made one nonpositive."""
-    if np.any(lam <= 0):
+    if lam.min() <= 0:
         raise NumericError("whitened matrix lost positive definiteness")
     return lam
+
+
+def _rho(lam: np.ndarray) -> np.ndarray:
+    """rho from the whitened eigenvalues of one pair (last axis) or of a stack."""
+    return np.sqrt(np.sum(np.log(_positive(lam)) ** 2, axis=-1))
 
 
 def matrix_function(P: SpdMatrix, f: Callable) -> np.ndarray:
@@ -261,8 +273,7 @@ def _exp_at(M: SpdMatrix, Ss: np.ndarray) -> np.ndarray:
 def _distances(X: SpdMatrix, Ys: np.ndarray) -> np.ndarray:
     """rho(X, Y) for a (d, d) Y (a 0-d result) or each matrix of a stack,
     whitening with one inverse root of X."""
-    lam = _positive(np.linalg.eigvalsh(_whiten(X, Ys)))
-    return np.sqrt(np.sum(np.log(lam) ** 2, axis=-1))
+    return _rho(np.linalg.eigvalsh(_whiten(X, Ys)))
 
 
 def _fan_out_distances(X: SpdMatrix, stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -303,6 +314,62 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     if t == 1.0:
         return Y
     return _power_sandwich(X, Y, t)
+
+
+class _Walk:
+    """A sequence of geodesic steps carried as a factor F of the iterate M = F F^T.
+
+    By congruence invariance X #_t P = F (G P G^T)^t F^T for any F with
+    X = F F^T and G = F^{-1}, so with (mu, V) = eigh(G P G^T) a step is
+    F <- (F V) diag(mu^{t/2}): one eigh, where ``geodesic`` takes two and
+    three assemblies.  The same spectrum mu gives rho(M, P).  G is
+    recomputed by inversion after each step; updating it multiplicatively
+    drifts (over 10^4 inductive steps at d = 3, ||G F - I|| reached 1.1e-13
+    that way and stayed at 3e-16 with inversion).
+    """
+
+    __slots__ = ("_F", "_G", "_mean")
+
+    def __init__(self, start: SpdMatrix):
+        lam, vecs = start.eigen()
+        self._set_factor(vecs * np.sqrt(lam))
+        self._mean = start
+
+    def _set_factor(self, F: np.ndarray) -> None:
+        self._F = F
+        self._G = np.linalg.inv(F)
+
+    @property
+    def dimension(self) -> int:
+        return self._F.shape[0]
+
+    def _whiten(self, Ps: np.ndarray) -> np.ndarray:
+        return _symmetrize(self._G @ Ps @ self._G.T)
+
+    def spectra(self, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened spectra (mu, V) of G P G^T for a (d, d) P or each
+        matrix of a stack; ``_rho(mu)`` is the distance from the iterate."""
+        mu, vecs = np.linalg.eigh(self._whiten(Ps))
+        return _positive(mu), vecs
+
+    def distances(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """rho(M, P) for every matrix of ``stacks``, one eigvalsh per stack."""
+        return np.concatenate([_rho(np.linalg.eigvalsh(self._whiten(stack))) for stack in stacks])
+
+    def advance(self, mu: np.ndarray, vecs: np.ndarray, t: float) -> None:
+        """Step to M #_t P, given the whitened spectrum of P from ``spectra``."""
+        self._set_factor((self._F @ vecs) * np.power(mu, 0.5 * t))
+        self._mean = None
+
+    def step(self, P: np.ndarray, t: float) -> None:
+        """Step to M #_t P for a (d, d) array P."""
+        self.advance(*self.spectra(P), t)
+
+    def mean(self) -> SpdMatrix:
+        """The iterate F F^T; the start matrix itself before any step."""
+        if self._mean is None:
+            self._mean = SpdMatrix._trusted(self._F @ self._F.T)
+        return self._mean
 
 
 def _weighted_sum(Ps: Sequence[SpdMatrix], w: WeightVector, term: Callable) -> np.ndarray:

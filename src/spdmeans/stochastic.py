@@ -27,13 +27,13 @@ from .scalar_means import QuasiArithmeticGenerator
 from .spd_core import (
     SpdMatrix,
     _check_same_dimension,
+    _distances,
     _exp_at,
     _fan_out_distances,
     _slices,
     _stacks,
     _symmetrize,
-    geodesic,
-    riemannian_distance,
+    _Walk,
 )
 
 #: Tangent samples are clipped to this many standard deviations, which
@@ -92,30 +92,34 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
 def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
                     checkpoints: Iterator[int]) -> tuple[SpdMatrix, ConvergenceTrace]:
     """The running inductive mean of a stream, recording rho(M_t, center)
-    at each t of the ascending ``checkpoints`` and at the final sample."""
+    at each t of the ascending ``checkpoints`` and at the final sample.
+    The walk carries a factor of M_t; a recorded error is measured from
+    M_t itself, so it equals rho of the walk's result over that prefix."""
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    mean: SpdMatrix | None = None
+    walk: _Walk | None = None
     t = 0
     next_checkpoint = next(checkpoints, None)
     last_recorded = -1
     for t, X in enumerate(samples, 1):
-        if mean is None:
-            mean = X
-        elif X.dimension != mean.dimension:
+        if walk is None:
+            walk = _Walk(X)
+            if center is not None:
+                _check_same_dimension(X, center)
+        elif X.dimension != walk.dimension:
             raise ShapeError(
-                f"sample dimension {X.dimension} does not match stream dimension {mean.dimension}"
+                f"sample dimension {X.dimension} does not match stream dimension {walk.dimension}"
             )
         else:
-            mean = geodesic(mean, X, 1.0 / t)
+            walk.step(X.array, 1.0 / t)
         if center is not None and t == next_checkpoint:
-            recorder.record(t, None, riemannian_distance(mean, center))
+            recorder.record(t, None, float(_distances(walk.mean(), center.array)))
             last_recorded = t
             next_checkpoint = next(checkpoints, None)
-    if mean is None:
+    if walk is None:
         raise DomainError("sample stream is empty")
     if center is not None and t != last_recorded:
-        recorder.record(t, None, riemannian_distance(mean, center))
-    return mean, recorder.build(iterations_used=t)
+        recorder.record(t, None, float(_distances(walk.mean(), center.array)))
+    return walk.mean(), recorder.build(iterations_used=t)
 
 
 def inductive_expectation(samples: Iterable[SpdMatrix],

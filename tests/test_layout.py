@@ -6,7 +6,9 @@ reaches spectral calculus through the kernels in ``spd_core``
 ``(d, d)`` array or an ``(n, d, d)`` stack) or its public operations, so a
 change of eigensolver or batching touches one module.  The trace
 contract lives in ``convergence``: only ``TraceRecorder`` decides
-``converged`` and raises the budget-cap NonConvergenceError.
+``converged`` and raises the budget-cap NonConvergenceError.  The four
+sequential walks step through ``spd_core._Walk`` (one eigh per step), not
+through the two-eigh ``geodesic`` or ``riemannian_distance``.
 """
 
 from __future__ import annotations
@@ -71,3 +73,35 @@ def test_trace_contract_only_in_convergence():
     raises = [ref for _, refs in found.values() for ref in refs]
     assert converged == [], f"converged= passed outside convergence: {converged}"
     assert raises == NON_BUDGET_RAISES, f"NonConvergenceError built outside convergence: {raises}"
+
+
+#: The walks that carry a factor of their iterate, by module.
+FACTORED_WALKS = {
+    "stochastic.py": {"_inductive_walk"},
+    "multi_means.py": {"holbrook_inductive_mean", "riemannian_circumcenter", "bacak_median"},
+}
+TWO_EIGH_STEPS = {"geodesic", "riemannian_distance"}
+
+
+def _two_eigh_calls(path: Path, functions: set[str]) -> tuple[set[str], list[str]]:
+    """(the ``functions`` defined in the file, ``<function>:<line>`` of each
+    call inside them to ``geodesic`` or ``riemannian_distance``)."""
+    defined, calls = set(), []
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, ast.FunctionDef) or func.name not in functions:
+            continue
+        defined.add(func.name)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                if name in TWO_EIGH_STEPS:
+                    calls.append(f"{func.name}:{node.lineno}")
+    return defined, calls
+
+
+def test_walks_step_through_the_factored_walk():
+    for module, functions in FACTORED_WALKS.items():
+        defined, calls = _two_eigh_calls(PACKAGE / module, functions)
+        assert defined == functions, f"{module} no longer defines {functions - defined}"
+        assert calls == [], f"{module} walks call geodesic/riemannian_distance: {calls}"

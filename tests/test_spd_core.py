@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from spdmeans import (
     DefinitenessError,
     DomainError,
+    SampleConfig,
     ShapeError,
     SpdMatrix,
     WeightVector,
     geodesic,
+    holbrook_inductive_mean,
+    inductive_expectation,
     log_euclidean_mean,
     loewner_leq,
     matrix_function,
     q_power_mean,
     riemannian_distance,
     s_divergence,
+    sample_spd,
     spd_inverse,
     weighted_arithmetic,
     weighted_harmonic,
@@ -32,6 +36,7 @@ from spdmeans.spd_core import (
     _stacks,
     _symmetrize,
     _whiten,
+    _Walk,
 )
 from tests.conftest import random_invertible, random_spd
 
@@ -293,6 +298,58 @@ def test_geodesic_identities_random_pairs(rng):
             assert np.linalg.norm(gt.array - swap.array) / np.linalg.norm(gt.array) <= 1e-8
             rho = riemannian_distance(x, y)
             assert riemannian_distance(gt, x) == pytest.approx(t * rho, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Factored geodesic walk
+# ---------------------------------------------------------------------------
+
+def _relative_gap(a: SpdMatrix, b: SpdMatrix) -> float:
+    return float(np.linalg.norm(a.array - b.array) / np.linalg.norm(b.array))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), spread=st.floats(0.0, 3.0),
+       ts=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=3, max_size=3))
+def test_walk_steps_match_chained_geodesics(seed, d, spread, ts):
+    # the factored step F <- (F V) diag(mu^{t/2}) lands where geodesic does,
+    # one step at a time and over three chained steps, and the whitened
+    # spectra measure the same distances as riemannian_distance
+    rng = np.random.default_rng(seed)
+    x, *ys = [random_spd(rng, d, spread) for _ in range(4)]
+    stack = np.stack([y.array for y in ys])
+    walk, expected = _Walk(x), x
+    # an absolute floor: a step with t near 1 can land next to a target,
+    # where a relative error of a near-zero distance measures nothing
+    np.testing.assert_allclose(walk.distances([stack]),
+                               [riemannian_distance(x, y) for y in ys], rtol=1e-12, atol=1e-13)
+    for y, t in zip(ys, ts):
+        walk.step(y.array, t)
+        expected = geodesic(expected, y, t)
+        assert _relative_gap(walk.mean(), expected) <= 1e-12
+        np.testing.assert_allclose(walk.distances([stack]),
+                                   [riemannian_distance(walk.mean(), y) for y in ys],
+                                   rtol=1e-12, atol=1e-13)
+
+
+def test_walk_does_not_drift_over_long_runs():
+    # 10^4 inductive steps against the two-eigh geodesic loop they replace
+    rng = np.random.default_rng(20240901)
+    center = random_spd(rng, 3)
+    batch = sample_spd(SampleConfig(seed=11, scale=0.3, count=10_000, center=center))
+    stream = [batch[i] for i in rng.permutation(len(batch))]
+    reference = stream[0]
+    for t, X in enumerate(stream[1:], 2):
+        reference = geodesic(reference, X, 1.0 / t)
+    walked, _ = inductive_expectation(stream)
+    assert _relative_gap(walked, reference) <= 1e-12
+    # det(X #_t Y) = det(X)^{1-t} det(Y)^t: after n * cycles - 1 steps every
+    # input has entered the Holbrook mean exactly ``cycles`` times
+    mats = [random_spd(rng, 3, 2.0) for _ in range(5)]
+    mean, _ = holbrook_inductive_mean(mats, 5 * 1000 - 1)
+    logdet = np.linalg.slogdet(mean.array)[1]
+    expected_logdet = np.mean([np.linalg.slogdet(P.array)[1] for P in mats])
+    assert abs(logdet - expected_logdet) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
