@@ -22,13 +22,10 @@ from .spd_core import (
     SpdMatrix,
     WeightVector,
     _check_same_dimension,
-    _exp_at,
-    _fan_out_distances,
+    _Frame,
     _rho,
     _spectral,
     _stacks,
-    _whiten,
-    _Walk,
     geodesic,
 )
 
@@ -108,11 +105,11 @@ class RecursiveMeanParams:
 # Karcher mean machinery
 # ---------------------------------------------------------------------------
 
-def _weighted_log_sum(G: SpdMatrix, stacks: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Weighted sum of the whitened logs log(G^{-1/2} P_i G^{-1/2}) of the
-    matrices in ``stacks``: one eigh per stack, then the terms added in order."""
-    logs = (log for stack in stacks for log in _spectral(_whiten(G, stack), np.log))
-    acc = np.zeros_like(G.array)
+def _weighted_log_sum(frame: _Frame, stacks: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Weighted sum of the whitened logs log(G P_i G^T) of the matrices in
+    ``stacks``: one eigh per stack, then the terms added in order."""
+    logs = (log for stack in stacks for log in _spectral(frame.whiten(stack), np.log))
+    acc = np.zeros((frame.dimension, frame.dimension))
     for w, log in zip(weights, logs):
         acc = acc + w * log
     if not np.all(np.isfinite(acc)):
@@ -128,11 +125,13 @@ def karcher_residual(G: SpdMatrix, Ps) -> float:
     """
     Ps = as_matrix_tuple(Ps)
     _check_same_dimension(G, Ps)
-    return _residual(G, _stacks(Ps), len(Ps))
+    return _residual(_Frame(G), _stacks(Ps), len(Ps))
 
 
-def _residual(G: SpdMatrix, stacks: list[np.ndarray], n: int) -> float:
-    return float(np.linalg.norm(_weighted_log_sum(G, stacks, np.ones(n))) / n)
+def _residual(frame: _Frame, stacks: list[np.ndarray], n: int) -> float:
+    """The Karcher residual at the frame's base.  Any factor F of the base
+    gives the same norm: the whitened logs of two factors differ by a rotation."""
+    return float(np.linalg.norm(_weighted_log_sum(frame, stacks, np.ones(n))) / n)
 
 
 def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
@@ -156,10 +155,11 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
     weights, stacks = w.values, _stacks(Ps)
     G = G0
     for t in count(1):
-        tangent = _weighted_log_sum(G, stacks, weights)
+        frame = _Frame(G)
+        tangent = _weighted_log_sum(frame, stacks, weights)
         if not recorder.record(t, None, float(np.linalg.norm(tangent))):
             return G, recorder.build()
-        G = SpdMatrix._trusted(_exp_at(G, tangent))
+        G = SpdMatrix._trusted(frame.lift(_spectral(tangent, np.exp)))
 
 
 def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[SpdMatrix, ConvergenceTrace]:
@@ -179,12 +179,12 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
         return Ps[0], recorder.build()
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
-    walk, stacks = _Walk(Ps[0]), _stacks(Ps)
+    walk, stacks = _Frame(Ps[0]), _stacks(Ps)
     for t in range(1, steps + 1):
         walk.step(Ps[t % n].array, 1.0 / (t + 1))
         if t % n == 0:
-            recorder.record(t, None, _residual(walk.mean(), stacks, n))
-    return walk.mean(), recorder.build(iterations_used=steps)
+            recorder.record(t, None, _residual(walk, stacks, n))
+    return walk.base(), recorder.build(iterations_used=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +207,15 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     if len(Ps) == 1:
         recorder.record(0, None, 0.0)
         return C, recorder.build()
-    walk, stacks = _Walk(C), _stacks(Ps)
+    walk, stacks = _Frame(C), _stacks(Ps)
     for t in range(1, steps + 1):
         mu, vecs = (np.concatenate(parts) for parts in zip(*map(walk.spectra, stacks)))
         distances = _rho(mu)
         far = int(np.argmax(distances))
         recorder.record(t - 1, None, float(distances[far]))
         walk.advance(mu[far], vecs[far], 1.0 / (t + 1))
-    recorder.record(steps, None, float(walk.distances(stacks).max()))
-    return walk.mean(), recorder.build()
+    recorder.record(steps, None, float(walk.fan_out(stacks).max()))
+    return walk.base(), recorder.build()
 
 
 def _default_lambda_schedule(k: int) -> float:
@@ -249,7 +249,7 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             raise DomainError(f"schedule has {len(values)} entries but {sweeps} sweeps requested")
         schedule = lambda k: values[k]
     n = len(Ps)
-    walk, stacks = _Walk(Ps[0]), _stacks(Ps)
+    walk, stacks = _Frame(Ps[0]), _stacks(Ps)
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     for k in range(sweeps):
         lam = float(schedule(k))
@@ -261,9 +261,9 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
             if dist < MEDIAN_DISTANCE_GUARD:
                 continue
             walk.advance(mu, vecs, min(1.0, lam / (n * dist)))
-        objective = sum(walk.distances(stacks).tolist()) / n
+        objective = sum(walk.fan_out(stacks).tolist()) / n
         recorder.record(k + 1, None, objective)
-    return walk.mean(), recorder.build(iterations_used=sweeps)
+    return walk.base(), recorder.build(iterations_used=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
 
 def _max_pairwise_distance(mats: Sequence[SpdMatrix]) -> float:
     """max_{i<j} rho(P_i, P_j), one inverse root per row."""
-    rows = (_fan_out_distances(mats[i], _stacks(mats[i + 1:])).tolist()
+    rows = (_Frame(mats[i]).fan_out(_stacks(mats[i + 1:])).tolist()
             for i in range(len(mats) - 1))
     return max([0.0] + [d for row in rows for d in row])
 

@@ -243,6 +243,8 @@ def power_mean(p: float, x: float, y: float) -> float:
     The geometric-limit branch sqrt(xy) is used for |p| below
     ``POWER_MEAN_P_CUTOFF`` to dodge catastrophic cancellation.
     """
+    if not math.isfinite(p):
+        raise DomainError(f"power must be finite, got {p!r}")
     _require_positive(x, y)
     if abs(p) < POWER_MEAN_P_CUTOFF:
         return math.sqrt(x * y)

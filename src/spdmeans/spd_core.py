@@ -4,23 +4,18 @@ This is the only module that computes an eigendecomposition.  Its private
 kernels take one ``(d, d)`` array or an ``(n, d, d)`` stack, written once
 with ``[..., None, :]`` broadcasting and ``.mT``, so a stack costs one
 ``eigh``/``eigvalsh`` call for all of its matrices and a single pair goes
-through the same code: ``_spectral`` (U f(lambda) U^T from a cached or
-fresh decomposition; the product itself is ``_assemble``), ``_whiten``
-(X^{-1/2} Y X^{-1/2}), ``_exp_at`` (M^{1/2} exp(S) M^{1/2}) and
-``_distances`` (rho(X, Y)); the last three build the root of their base
-once for the whole stack.  A fan-out from one base to many matrices
-passes them as ``_stacks``, slices of at most ``_SLICE_BYTES``: one call
-for up to 1,820 matrices at d = 3.  On them, behind the validated
+through the same code: ``_assemble`` (U f(lambda) U^T) and ``_spectral``
+(the same from a cached or fresh decomposition).  Everything relative to
+a base X goes through one ``_Frame``: X = F F^T with G = F^{-1}, built
+once per base, whitening P to G P G^T for the distance rho(X, P) and the
+geodesic X #_t P = F (G P G^T)^t F^T, and lifting a tangent S to
+F exp(S) F^T for the exp map.  A walk of geodesic steps moves its frame
+with one eigh per step.  A fan-out from one base to many matrices passes
+them as ``_stacks``, slices of at most ``_SLICE_BYTES``: one call for up
+to 1,820 matrices at d = 3.  On them, behind the validated
 :class:`SpdMatrix`, sit spectral matrix functions, the affine-invariant
 Riemannian distance, the weighted-geometric-mean geodesic, weighted
 arithmetic/harmonic means, the Loewner order, and the S-divergence.
-
-A walk of many geodesic steps (the inductive, Holbrook, circumcenter and
-median iterations) keeps its state in ``_Walk``: a factor F of the
-iterate M = F F^T and G = F^{-1}.  One eigh of the whitened G P G^T both
-takes the step toward P and gives rho(M, P), where ``geodesic`` takes two;
-the one-shot ``geodesic`` and ``riemannian_distance`` keep their own
-arithmetic.
 """
 
 from __future__ import annotations
@@ -143,6 +138,8 @@ class WeightVector:
         vals = np.asarray(weights, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise DomainError("weights must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("weights must be finite")
         if np.any(vals < 0):
             raise DomainError("weights must be nonnegative")
         if abs(vals.sum() - 1.0) > 1e-12:
@@ -254,31 +251,79 @@ def spd_inverse(P: SpdMatrix) -> SpdMatrix:
     return SpdMatrix._trusted(matrix_function(P, lambda x: 1.0 / x))
 
 
-def _whiten(X: SpdMatrix, Ys: np.ndarray) -> np.ndarray:
-    """X^{-1/2} Y X^{-1/2} for a (d, d) Y or each matrix of a stack, from
-    X's cached decomposition."""
-    lam, vecs = X.eigen()
-    rxi = _assemble(vecs, np.sqrt(lam), divide=True)
-    return _symmetrize(rxi @ Ys @ rxi)
+class _Frame:
+    """A factor F of a base X = F F^T and G = F^{-1}: the whitening behind
+    every base-relative operation.
 
+    By congruence invariance rho(X, P) is read from the spectrum of the
+    whitened G P G^T, and X #_t P = F (G P G^T)^t F^T for any such F.  A
+    frame built from an SpdMatrix holds the symmetric roots F = X^{1/2}
+    and G = X^{-1/2} of its cached decomposition.  F^T and G^T are stored:
+    a symmetric root is its own transpose, and multiplying by the
+    transposed view instead rounds differently (d = 32 with OpenBLAS).
 
-def _exp_at(M: SpdMatrix, Ss: np.ndarray) -> np.ndarray:
-    """M^{1/2} exp(S) M^{1/2} for a symmetric (d, d) tangent S or each
-    matrix of a stack, from one root of M; not yet symmetrized (wrap with
-    ``SpdMatrix._trusted`` or ``_trusted_stack``)."""
-    rm = _spectral(M, np.sqrt)
-    return rm @ _spectral(Ss, np.exp) @ rm
+    A walk of geodesic steps (the inductive, Holbrook, circumcenter and
+    median iterations) moves the frame: with (mu, V) the whitened
+    spectrum of P, ``advance`` sets F <- (F V) diag(mu^{t/2}), one eigh
+    per step where ``geodesic`` takes two, and the same mu gives rho(M, P).
+    G is recomputed by inversion after each step; updating it
+    multiplicatively drifts (over 10^4 inductive steps at d = 3,
+    ||G F - I|| reached 1.1e-13 that way and stayed at 3e-16 with
+    inversion).
+    """
 
+    __slots__ = ("_F", "_Ft", "_G", "_Gt", "_base")
 
-def _distances(X: SpdMatrix, Ys: np.ndarray) -> np.ndarray:
-    """rho(X, Y) for a (d, d) Y (a 0-d result) or each matrix of a stack,
-    whitening with one inverse root of X."""
-    return _rho(np.linalg.eigvalsh(_whiten(X, Ys)))
+    def __init__(self, base: SpdMatrix):
+        lam, vecs = base.eigen()
+        root = np.sqrt(lam)
+        self._F = self._Ft = _assemble(vecs, root)
+        self._G = self._Gt = _assemble(vecs, root, divide=True)
+        self._base = base
 
+    @property
+    def dimension(self) -> int:
+        return self._F.shape[0]
 
-def _fan_out_distances(X: SpdMatrix, stacks: Sequence[np.ndarray]) -> np.ndarray:
-    """rho(X, Y) for every matrix of ``stacks``, one eigvalsh per stack."""
-    return np.concatenate([_distances(X, stack) for stack in stacks])
+    def whiten(self, Ps: np.ndarray) -> np.ndarray:
+        """G P G^T for a (d, d) P or each matrix of a stack."""
+        return _symmetrize(self._G @ Ps @ self._Gt)
+
+    def lift(self, Ss: np.ndarray) -> np.ndarray:
+        """F S F^T for a (d, d) S or each matrix of a stack; not yet
+        symmetrized (wrap with ``SpdMatrix._trusted`` or ``_trusted_stack``)."""
+        return self._F @ Ss @ self._Ft
+
+    def spectra(self, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened spectra (mu, V) of G P G^T for a (d, d) P or each
+        matrix of a stack; ``_rho(mu)`` is the distance from the base."""
+        mu, vecs = np.linalg.eigh(self.whiten(Ps))
+        return _positive(mu), vecs
+
+    def distances(self, Ps: np.ndarray) -> np.ndarray:
+        """rho(X, P) for a (d, d) P (a 0-d result) or each matrix of a stack."""
+        return _rho(np.linalg.eigvalsh(self.whiten(Ps)))
+
+    def fan_out(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """rho(X, P) for every matrix of ``stacks``, one eigvalsh per stack."""
+        return np.concatenate([self.distances(stack) for stack in stacks])
+
+    def advance(self, mu: np.ndarray, vecs: np.ndarray, t: float) -> None:
+        """Move the base to X #_t P, given the whitened spectrum of P from ``spectra``."""
+        F = (self._F @ vecs) * np.power(mu, 0.5 * t)
+        G = np.linalg.inv(F)
+        self._F, self._Ft, self._G, self._Gt = F, F.T, G, G.T
+        self._base = None
+
+    def step(self, P: np.ndarray, t: float) -> None:
+        """Move the base to X #_t P for a (d, d) array P."""
+        self.advance(*self.spectra(P), t)
+
+    def base(self) -> SpdMatrix:
+        """The base F F^T; the matrix the frame was built from before any step."""
+        if self._base is None:
+            self._base = SpdMatrix._trusted(self._F @ self._Ft)
+        return self._base
 
 
 def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
@@ -288,15 +333,14 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
     root-sum-square of the logs of the whitened eigenvalues.
     """
     _check_same_dimension(P1, P2)
-    return float(_distances(P1, P2.array))
+    return float(_Frame(P1).distances(P2.array))
 
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     """X^{1/2} (X^{-1/2} Y X^{-1/2})^t X^{1/2} without range checks on t."""
-    inner = _whiten(X, Y.array)
-    powered = _spectral(inner, lambda lam: np.power(_positive(lam), t))
-    rx = _spectral(X, np.sqrt)
-    return SpdMatrix._trusted(rx @ powered @ rx)
+    frame = _Frame(X)
+    mu, vecs = frame.spectra(Y.array)
+    return SpdMatrix._trusted(frame.lift(_assemble(vecs, np.power(mu, t))))
 
 
 def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
@@ -314,62 +358,6 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     if t == 1.0:
         return Y
     return _power_sandwich(X, Y, t)
-
-
-class _Walk:
-    """A sequence of geodesic steps carried as a factor F of the iterate M = F F^T.
-
-    By congruence invariance X #_t P = F (G P G^T)^t F^T for any F with
-    X = F F^T and G = F^{-1}, so with (mu, V) = eigh(G P G^T) a step is
-    F <- (F V) diag(mu^{t/2}): one eigh, where ``geodesic`` takes two and
-    three assemblies.  The same spectrum mu gives rho(M, P).  G is
-    recomputed by inversion after each step; updating it multiplicatively
-    drifts (over 10^4 inductive steps at d = 3, ||G F - I|| reached 1.1e-13
-    that way and stayed at 3e-16 with inversion).
-    """
-
-    __slots__ = ("_F", "_G", "_mean")
-
-    def __init__(self, start: SpdMatrix):
-        lam, vecs = start.eigen()
-        self._set_factor(vecs * np.sqrt(lam))
-        self._mean = start
-
-    def _set_factor(self, F: np.ndarray) -> None:
-        self._F = F
-        self._G = np.linalg.inv(F)
-
-    @property
-    def dimension(self) -> int:
-        return self._F.shape[0]
-
-    def _whiten(self, Ps: np.ndarray) -> np.ndarray:
-        return _symmetrize(self._G @ Ps @ self._G.T)
-
-    def spectra(self, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Whitened spectra (mu, V) of G P G^T for a (d, d) P or each
-        matrix of a stack; ``_rho(mu)`` is the distance from the iterate."""
-        mu, vecs = np.linalg.eigh(self._whiten(Ps))
-        return _positive(mu), vecs
-
-    def distances(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """rho(M, P) for every matrix of ``stacks``, one eigvalsh per stack."""
-        return np.concatenate([_rho(np.linalg.eigvalsh(self._whiten(stack))) for stack in stacks])
-
-    def advance(self, mu: np.ndarray, vecs: np.ndarray, t: float) -> None:
-        """Step to M #_t P, given the whitened spectrum of P from ``spectra``."""
-        self._set_factor((self._F @ vecs) * np.power(mu, 0.5 * t))
-        self._mean = None
-
-    def step(self, P: np.ndarray, t: float) -> None:
-        """Step to M #_t P for a (d, d) array P."""
-        self.advance(*self.spectra(P), t)
-
-    def mean(self) -> SpdMatrix:
-        """The iterate F F^T; the start matrix itself before any step."""
-        if self._mean is None:
-            self._mean = SpdMatrix._trusted(self._F @ self._F.T)
-        return self._mean
 
 
 def _weighted_sum(Ps: Sequence[SpdMatrix], w: WeightVector, term: Callable) -> np.ndarray:

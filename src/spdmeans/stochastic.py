@@ -22,18 +22,16 @@ import numpy as np
 
 from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
-from .multi_means import karcher_residual
+from .multi_means import _residual
 from .scalar_means import QuasiArithmeticGenerator
 from .spd_core import (
     SpdMatrix,
     _check_same_dimension,
-    _distances,
-    _exp_at,
-    _fan_out_distances,
+    _Frame,
     _slices,
+    _spectral,
     _stacks,
     _symmetrize,
-    _Walk,
 )
 
 #: Tangent samples are clipped to this many standard deviations, which
@@ -55,8 +53,8 @@ class SampleConfig:
     center: SpdMatrix
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise DomainError(f"scale must be nonnegative, got {self.scale!r}")
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise DomainError(f"scale must be finite and nonnegative, got {self.scale!r}")
         if self.count < 1:
             raise DomainError(f"count must be at least 1, got {self.count!r}")
         if self.scale > 0 and self.count % 2 != 0:
@@ -85,8 +83,9 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     s = _symmetrize(s + np.triu(s, 1).mT)
     tangents = np.empty((config.count, d, d))
     tangents[0::2], tangents[1::2] = s, -s
+    frame = _Frame(config.center)
     return [X for part in _slices(tangents)
-            for X in SpdMatrix._trusted_stack(_exp_at(config.center, part))]
+            for X in SpdMatrix._trusted_stack(frame.lift(_spectral(part, np.exp)))]
 
 
 def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
@@ -96,13 +95,13 @@ def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
     The walk carries a factor of M_t; a recorded error is measured from
     M_t itself, so it equals rho of the walk's result over that prefix."""
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    walk: _Walk | None = None
+    walk: _Frame | None = None
     t = 0
     next_checkpoint = next(checkpoints, None)
     last_recorded = -1
     for t, X in enumerate(samples, 1):
         if walk is None:
-            walk = _Walk(X)
+            walk = _Frame(X)
             if center is not None:
                 _check_same_dimension(X, center)
         elif X.dimension != walk.dimension:
@@ -112,14 +111,14 @@ def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
         else:
             walk.step(X.array, 1.0 / t)
         if center is not None and t == next_checkpoint:
-            recorder.record(t, None, float(_distances(walk.mean(), center.array)))
+            recorder.record(t, None, float(_Frame(walk.base()).distances(center.array)))
             last_recorded = t
             next_checkpoint = next(checkpoints, None)
     if walk is None:
         raise DomainError("sample stream is empty")
     if center is not None and t != last_recorded:
-        recorder.record(t, None, float(_distances(walk.mean(), center.array)))
-    return walk.mean(), recorder.build(iterations_used=t)
+        recorder.record(t, None, float(_Frame(walk.base()).distances(center.array)))
+    return walk.base(), recorder.build(iterations_used=t)
 
 
 def inductive_expectation(samples: Iterable[SpdMatrix],
@@ -141,7 +140,11 @@ def spd_variance(samples: Sequence[SpdMatrix], center: SpdMatrix) -> float:
     if not samples:
         raise DomainError("need at least one sample")
     _check_same_dimension(center, *samples)
-    return float(np.mean(_fan_out_distances(center, _stacks(samples)) ** 2))
+    return _variance(_Frame(center), _stacks(samples))
+
+
+def _variance(frame: _Frame, stacks: list[np.ndarray]) -> float:
+    return float(np.mean(frame.fan_out(stacks) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +204,7 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
     residuals: list[float] = []
     var_center: list[float] = []
     var_estimate: list[float] = []
+    center_frame = _Frame(center)
     for seed in seeds:
         config = SampleConfig(seed=seed, scale=scale, count=counts[-1], center=center)
         batch = sample_spd(config)
@@ -209,9 +213,10 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
         estimate, trace = _inductive_walk(stream, center, iter(sorted(set(counts))))
         by_step = {s.step: s.error for s in trace.steps}
         errors.append(tuple(by_step[c] for c in counts))
-        residuals.append(karcher_residual(center, batch))
-        var_center.append(spd_variance(batch, center))
-        var_estimate.append(spd_variance(batch, estimate))
+        stacks = _stacks(batch)
+        residuals.append(_residual(center_frame, stacks, len(batch)))
+        var_center.append(_variance(center_frame, stacks))
+        var_estimate.append(_variance(_Frame(estimate), stacks))
     medians = tuple(float(np.median([row[i] for row in errors]))
                     for i in range(len(counts)))
     return LlnReport(
@@ -239,8 +244,10 @@ class Lognormal:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise DomainError(f"sigma must be nonnegative, got {self.sigma!r}")
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu!r}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise DomainError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.exp(rng.normal(self.mu, self.sigma, size=n))

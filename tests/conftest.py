@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spdmeans import SpdMatrix
-from spdmeans.spd_core import _exp_at, _symmetrize
+from spdmeans.spd_core import _Frame, _spectral, _symmetrize
 
 
 def random_spd(rng: np.random.Generator, d: int, spread: float = 1.0) -> SpdMatrix:
@@ -24,12 +24,18 @@ def random_invertible(rng: np.random.Generator, d: int) -> np.ndarray:
             return a
 
 
+def exp_at(P: SpdMatrix, s: np.ndarray) -> SpdMatrix:
+    """P^{1/2} exp(S) P^{1/2} for a symmetric tangent S, through P's frame
+    as the library's exp map computes it."""
+    return SpdMatrix._trusted(_Frame(P).lift(_spectral(s, np.exp)))
+
+
 def perturb_spd(P: SpdMatrix, radius: float, rng: np.random.Generator) -> SpdMatrix:
     """Point at exact Riemannian distance ``radius`` from P, random direction."""
     d = P.dimension
     s = _symmetrize(rng.normal(size=(d, d)))
     s *= radius / np.linalg.norm(s)
-    return SpdMatrix._trusted(_exp_at(P, s))
+    return exp_at(P, s)
 
 
 def psd_decrement(P: SpdMatrix, rng: np.random.Generator, frac: float = 0.3) -> SpdMatrix:

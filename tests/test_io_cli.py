@@ -213,6 +213,15 @@ def test_scalar_invalid_input_exit_code(capsys):
                  "--tolerance", "-1"]) == 1
 
 
+def test_non_finite_parameters_exit_code(capsys):
+    assert main(["scalar", "--kind", "power:nan", "--x", "2", "--y", "3"]) == 1
+    assert main(["sample", "--experiment", "clt", "--count", "20", "--trials", "3",
+                 "--sigma", "nan", "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # CLI: pair and multi commands
 # ---------------------------------------------------------------------------

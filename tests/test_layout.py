@@ -2,13 +2,15 @@
 
 Eigendecompositions are computed in spd_core only: every other module
 reaches spectral calculus through the kernels in ``spd_core``
-(``_spectral``, ``_whiten``, ``_exp_at``, ``_distances``, each taking a
-``(d, d)`` array or an ``(n, d, d)`` stack) or its public operations, so a
-change of eigensolver or batching touches one module.  The trace
-contract lives in ``convergence``: only ``TraceRecorder`` decides
-``converged`` and raises the budget-cap NonConvergenceError.  The four
-sequential walks step through ``spd_core._Walk`` (one eigh per step), not
-through the two-eigh ``geodesic`` or ``riemannian_distance``.
+(``_spectral`` and the base-relative ``_Frame``, each taking a ``(d, d)``
+array or an ``(n, d, d)`` stack) or its public operations, so a change of
+eigensolver or batching touches one module.  Within spd_core the inverse
+root has one home: only ``_Frame`` inverts a matrix or assembles
+U diag(lambda)^{-1} U^T.  The trace contract lives in ``convergence``:
+only ``TraceRecorder`` decides ``converged`` and raises the budget-cap
+NonConvergenceError.  The four sequential walks step through a moving
+``_Frame`` (one eigh per step), not through the two-eigh ``geodesic`` or
+``riemannian_distance``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,30 @@ def test_eigensolvers_only_in_spd_core():
     assert found.pop("spd_core.py"), "the scan finds no eigensolver even in spd_core"
     offenders = [ref for refs in found.values() for ref in refs]
     assert offenders == [], f"eigh/eigvalsh referenced outside spd_core: {offenders}"
+
+
+def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
+    """Lines of every ``np.linalg.inv`` call and ``_assemble(..., divide=True)``
+    call in the file, keyed by the enclosing top-level class or function."""
+    found: dict[str, list[int]] = {}
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            inverts = (isinstance(callee, ast.Attribute) and callee.attr == "inv"
+                       and isinstance(callee.value, ast.Attribute) and callee.value.attr == "linalg")
+            divides = getattr(callee, "id", None) == "_assemble" and (
+                len(node.args) > 2 or any(kw.arg == "divide" for kw in node.keywords))
+            if inverts or divides:
+                found.setdefault(getattr(top, "name", "<module>"), []).append(node.lineno)
+    return found
+
+
+def test_inverse_root_only_in_frame():
+    found = _inverse_root_calls(PACKAGE / "spd_core.py")
+    assert found.pop("_Frame", None), "the scan finds no inverse root even in _Frame"
+    assert found == {}, f"spd_core inverts outside _Frame: {found}"
 
 
 #: NonConvergenceError raised outside convergence.py, by enclosing function.

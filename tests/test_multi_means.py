@@ -167,6 +167,15 @@ def test_holbrook_approaches_refined_mean(rng):
     assert trace.steps[-1].error < trace.steps[0].error
 
 
+def test_holbrook_residual_matches_karcher_residual(rng):
+    # the monitor whitens through the walk's own factor, not the mean's root;
+    # the residual's norm is the same for either
+    mats = [random_spd(rng, 3, 1.5) for _ in range(5)]
+    out, trace = holbrook_inductive_mean(mats, 5 * 40)
+    assert trace.steps[-1].step == 5 * 40
+    assert trace.steps[-1].error == pytest.approx(karcher_residual(out, mats), rel=1e-12)
+
+
 def test_holbrook_permutation_consistency(rng):
     mats = [random_spd(rng, 3) for _ in range(3)]
     perm = [mats[2], mats[0], mats[1]]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spdmeans import (
     DefinitenessError,
     DomainError,
+    Lognormal,
     SampleConfig,
     ShapeError,
     SpdMatrix,
@@ -19,6 +20,7 @@ from spdmeans import (
     log_euclidean_mean,
     loewner_leq,
     matrix_function,
+    power_mean,
     q_power_mean,
     riemannian_distance,
     s_divergence,
@@ -28,16 +30,7 @@ from spdmeans import (
     weighted_harmonic,
 )
 from spdmeans.multi_means import _weighted_log_sum
-from spdmeans.spd_core import (
-    _distances,
-    _exp_at,
-    _fan_out_distances,
-    _spectral,
-    _stacks,
-    _symmetrize,
-    _whiten,
-    _Walk,
-)
+from spdmeans.spd_core import _Frame, _spectral, _stacks, _symmetrize
 from tests.conftest import random_invertible, random_spd
 
 
@@ -137,6 +130,20 @@ def test_weight_vector_validation():
     assert list(WeightVector.pair(0.3)) == pytest.approx([0.7, 0.3])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: WeightVector([v, 1.0]),
+    lambda v: power_mean(v, 2.0, 3.0),
+    lambda v: SampleConfig(seed=0, scale=v, count=4, center=SpdMatrix(np.eye(2))),
+    lambda v: Lognormal(mu=0.0, sigma=v),
+    lambda v: Lognormal(mu=v, sigma=0.5),
+], ids=["weights", "power_mean", "sample_scale", "lognormal_sigma", "lognormal_mu"])
+def test_non_finite_parameters_are_domain_errors(build, bad):
+    # NaN passes every ordering check, so each constructor tests finiteness itself
+    with pytest.raises(DomainError, match="finite"):
+        build(bad)
+
+
 # ---------------------------------------------------------------------------
 # matrix_function
 # ---------------------------------------------------------------------------
@@ -221,19 +228,20 @@ def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, sections):
     ys = [random_spd(rng, d, spread) for _ in range(n)]
     stack = np.stack([y.array for y in ys])
     slices = np.array_split(stack, min(sections, n))
-    one_at_a_time = [float(_distances(x, y.array)) for y in ys]
-    assert _distances(x, stack).tolist() == one_at_a_time
-    assert _fan_out_distances(x, slices).tolist() == one_at_a_time
-    assert _fan_out_distances(x, _stacks(ys)).tolist() == one_at_a_time
+    frame = _Frame(x)
+    one_at_a_time = [float(frame.distances(y.array)) for y in ys]
+    assert frame.distances(stack).tolist() == one_at_a_time
+    assert frame.fan_out(slices).tolist() == one_at_a_time
+    assert frame.fan_out(_stacks(ys)).tolist() == one_at_a_time
     assert one_at_a_time == [riemannian_distance(x, y) for y in ys]
     tangents = _symmetrize(rng.normal(size=(n, d, d)))
-    for s, m in zip(tangents, _exp_at(x, tangents)):
-        np.testing.assert_array_equal(m, _exp_at(x, s))
+    for s, m in zip(tangents, frame.lift(_spectral(tangents, np.exp))):
+        np.testing.assert_array_equal(m, frame.lift(_spectral(s, np.exp)))
     weights = rng.uniform(0.0, 1.0, size=n)
     expected = np.zeros((d, d))
     for w, y in zip(weights, ys):
-        expected = expected + w * _spectral(_whiten(x, y.array), np.log)
-    np.testing.assert_array_equal(_weighted_log_sum(x, slices, weights), expected)
+        expected = expected + w * _spectral(frame.whiten(y.array), np.log)
+    np.testing.assert_array_equal(_weighted_log_sum(frame, slices, weights), expected)
 
 
 def test_distance_congruence_invariance(rng):
@@ -301,7 +309,7 @@ def test_geodesic_identities_random_pairs(rng):
 
 
 # ---------------------------------------------------------------------------
-# Factored geodesic walk
+# Factored geodesic walk through a moving frame
 # ---------------------------------------------------------------------------
 
 def _relative_gap(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -318,17 +326,18 @@ def test_walk_steps_match_chained_geodesics(seed, d, spread, ts):
     rng = np.random.default_rng(seed)
     x, *ys = [random_spd(rng, d, spread) for _ in range(4)]
     stack = np.stack([y.array for y in ys])
-    walk, expected = _Walk(x), x
-    # an absolute floor: a step with t near 1 can land next to a target,
-    # where a relative error of a near-zero distance measures nothing
-    np.testing.assert_allclose(walk.distances([stack]),
-                               [riemannian_distance(x, y) for y in ys], rtol=1e-12, atol=1e-13)
+    walk, expected = _Frame(x), x
+    # before its first step the walk's frame is the base's own: the same bits
+    assert walk.base() is x
+    assert walk.fan_out([stack]).tolist() == [riemannian_distance(x, y) for y in ys]
     for y, t in zip(ys, ts):
         walk.step(y.array, t)
         expected = geodesic(expected, y, t)
-        assert _relative_gap(walk.mean(), expected) <= 1e-12
-        np.testing.assert_allclose(walk.distances([stack]),
-                                   [riemannian_distance(walk.mean(), y) for y in ys],
+        assert _relative_gap(walk.base(), expected) <= 1e-12
+        # an absolute floor: a step with t near 1 can land next to a target,
+        # where a relative error of a near-zero distance measures nothing
+        np.testing.assert_allclose(walk.fan_out([stack]),
+                                   [riemannian_distance(walk.base(), y) for y in ys],
                                    rtol=1e-12, atol=1e-13)
 
 
@@ -343,6 +352,12 @@ def test_walk_does_not_drift_over_long_runs():
         reference = geodesic(reference, X, 1.0 / t)
     walked, _ = inductive_expectation(stream)
     assert _relative_gap(walked, reference) <= 1e-12
+    # the same walk driven by hand: G stays the inverse of the moved factor F
+    walk = _Frame(stream[0])
+    for t, X in enumerate(stream[1:], 2):
+        walk.step(X.array, 1.0 / t)
+    np.testing.assert_array_equal(walk.base().array, walked.array)
+    assert np.linalg.norm(walk._G @ walk._F - np.eye(3)) <= 1e-14
     # det(X #_t Y) = det(X)^{1-t} det(Y)^t: after n * cycles - 1 steps every
     # input has entered the Holbrook mean exactly ``cycles`` times
     mats = [random_spd(rng, 3, 2.0) for _ in range(5)]

@@ -24,9 +24,9 @@ from spdmeans import (
     WeightVector,
 )
 from spdmeans import spd_core
-from spdmeans.spd_core import _exp_at, _symmetrize
+from spdmeans.spd_core import _symmetrize
 from spdmeans.stochastic import TRUNCATION_SIGMAS, _substream
-from tests.conftest import random_spd
+from tests.conftest import exp_at, random_spd
 
 
 def make_config(seed=0, dimension=3, scale=0.3, count=100, center=None):
@@ -133,8 +133,7 @@ def test_sample_spd_matches_per_pair_reference(rng, monkeypatch, spread, slice_m
         s[upper] = np.clip(stream.normal(0.0, scale, size=len(upper[0])),
                            -TRUNCATION_SIGMAS * scale, TRUNCATION_SIGMAS * scale)
         s = _symmetrize(s + np.triu(s, 1).T)
-        expected += [SpdMatrix._trusted(_exp_at(center, s)),
-                     SpdMatrix._trusted(_exp_at(center, -s))]
+        expected += [exp_at(center, s), exp_at(center, -s)]
     batch = sample_spd(make_config(seed=seed, scale=scale, count=2 * pairs, center=center))
     assert len(batch) == len(expected)
     for got, want in zip(batch, expected):
