@@ -10,16 +10,17 @@ Exit codes: 0 success/convergence, 1 input or usage errors, 2
 non-convergence (the partial trace is still emitted when requested).
 
 ``main(argv)`` is the one entry point, in process as on the command line:
-argparse parses ``argv`` and hands the namespace to the command's handler.
-Every option default is declared once, in the parser.  Configuration
-precedence: flags > environment (SPDMEANS_TOL, SPDMEANS_MAX_ITERS,
-SPDMEANS_SEED) > defaults; an unset tolerance or budget falls through to
-the operation's own default, and an unset seed is 0.
+argparse parses ``argv`` with one parser, built on first use, and hands the
+namespace to the command's handler.  Every option default is declared once,
+in the parser.  Configuration precedence: flags > environment (SPDMEANS_TOL,
+SPDMEANS_MAX_ITERS, SPDMEANS_SEED) > defaults; an unset tolerance or budget
+falls through to the operation's own default, and an unset seed is 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -339,6 +340,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="write the convergence trace here (.json or .csv)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spdmeans",
                      description="Inductive and Riemannian means of scalars and SPD matrices.")

@@ -436,6 +436,17 @@ def test_parser_builds():
     assert args.command == "scalar"
 
 
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # main reuses one parser; options given in one call must not leak into the next.
+    args = ["scalar", "--kind", "agm", "--x", "2", "--y", "5"]
+    assert main(args) == 0
+    fresh = capsys.readouterr().out
+    assert main(args + ["--output", "json", "--max-iterations", "1"]) == 2
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == fresh
+
+
 def test_pair_nonconvergence_exit_code(tmp_path, capsys):
     path = write_set(tmp_path, {"d": 2, "matrices": [[1, 0, 0, 4], [9, 0, 0, 16]]})
     assert main(["pair", "--kind", "ahm", "--inputs", path,
