@@ -5,10 +5,20 @@ refiner driving the Karcher equation residual to tolerance (the oracle
 for everything else here), the farthest-point circumcenter iteration, the
 cyclic proximal-point median, and the recursive two-parameter-family
 geometric means (ALM and BMP tuples built in).
+
+The recursive means nest: each round replaces P_i by P_i #_s G(all
+others), and the n leave-one-out inner means are independent.  One
+recursion level therefore runs a (k, n, d, d) stack of k tuples in
+lockstep through a stacked ``_Frame``, and recurses once per round on the
+(k n, n - 1, d, d) stack of their leave-one-out sub-tuples, whose frames
+are gathered from the parents'.  Each tuple keeps its own trace recorder,
+stopping and stall rules, so the means, traces and errors are those of
+the depth-first recursion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import count
@@ -24,9 +34,9 @@ from .spd_core import (
     _check_same_dimension,
     _Frame,
     _rho,
+    _slices,
     _spectral,
     _stacks,
-    geodesic,
 )
 
 KARCHER_REFINE_MAX_ITERATIONS = 500
@@ -270,66 +280,135 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
 # Recursive geometric means (ALM / BMP family)
 # ---------------------------------------------------------------------------
 
-def _max_pairwise_distance(mats: Sequence[SpdMatrix]) -> float:
-    """max_{i<j} rho(P_i, P_j), one inverse root per row."""
-    rows = (_Frame(mats[i]).fan_out(_stacks(mats[i + 1:])).tolist()
-            for i in range(len(mats) - 1))
-    return max([0.0] + [d for row in rows for d in row])
-
-
 #: A stagnated recursive-mean iteration is accepted as numerically converged
 #: only below this spread; above it, stagnation raises NonConvergenceError.
 _STAGNATION_SPREAD_BOUND = 1e-6
+
+#: The first tuple of a batch that failed, by index, with its error.
+_Failure = tuple[int, NonConvergenceError] | None
 
 
 def _level_recorder(tol: float, max_rounds: int, name: str) -> TraceRecorder:
     return TraceRecorder(tol, max_rounds, name, unit="rounds", order_floor=MATRIX_ORDER_FLOOR)
 
 
-def _recursive_mean(mats: tuple[SpdMatrix, ...], s_tuple: tuple[float, ...],
-                    recorder: TraceRecorder,
-                    accept_stagnation: bool = False) -> tuple[SpdMatrix, int]:
-    """Limit of one recursion level and its rounds; ``recorder`` holds the
-    level's tolerance and cap, and each inner level gets its own."""
-    n = len(mats)
-    rounds = 0
-    stalls = 0
-    current = mats
-    previous, spread = math.inf, _max_pairwise_distance(mats)
-    while recorder.record(rounds, None, spread):
-        # Roundoff floors the spread before very tight tolerances are met;
-        # detect the stall instead of burning the whole round budget.
-        stalls = stalls + 1 if spread >= 0.99 * previous else 0
-        if stalls >= 2:
-            if accept_stagnation and spread < _STAGNATION_SPREAD_BOUND:
+@functools.cache
+def _index_sets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of an n-tuple as two index arrays, and its leave-one-out
+    rows (row j lists the indices without j); cached, so read-only."""
+    sets = (*np.triu_indices(n, 1), np.array([[i for i in range(n) if i != j] for j in range(n)]))
+    for a in sets:
+        a.flags.writeable = False
+    return sets
+
+
+def _spreads(mats: np.ndarray, frames: _Frame) -> np.ndarray:
+    """max_{i<j} rho(P_i, P_j) of each tuple of a (k, n, d, d) stack, from
+    one eigvalsh over the pairs whitened by the frame of P_i."""
+    i, j, _ = _index_sets(mats.shape[1])
+    return frames[:, i].distances(mats[:, j]).max(axis=-1)
+
+
+def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
+                    recorders: list[TraceRecorder],
+                    accept_stagnation: bool = False) -> tuple[np.ndarray, int, _Failure]:
+    """Limits of one recursion level for k tuples in lockstep.
+
+    ``mats`` is a (k, n, d, d) stack of n-tuples with their ``frames`` and
+    one recorder per tuple (the level's tolerance and cap).  Each round
+    makes one inner call per chunk of leave-one-out sub-tuples
+    (``_partners``), one stacked geodesic step, one eigh for the new
+    frames and one eigvalsh for the spreads.  Returns the (k, d, d)
+    limits, the rounds the finished tuples completed, and the first
+    failure.  The tuples are independent, so the result is what running
+    them one after another gives, errors included: the tuples after a
+    failed one are dropped, the ones before it go on, and the lowest
+    failed index is reported; the limits below it are valid.
+    """
+    k, n = mats.shape[:2]
+    limits = np.empty((k,) + mats.shape[2:])
+    live = np.arange(k)  # the tuple index of each row still iterating
+    stalls = np.zeros(k, dtype=int)
+    previous, spread = np.full(k, math.inf), _spreads(mats, frames)
+    finished_rounds, failure = 0, None
+    for rounds in count():
+        keep = []
+        for row, index in enumerate(live):
+            recorder = recorders[index]
+            try:
+                going = recorder.record(rounds, None, spread[row])
+            except NonConvergenceError as exc:
+                failure = (index, exc)
                 break
-            raise NonConvergenceError(
-                f"{recorder.name} stagnated at spread {spread:.3e} "
-                f"above tolerance {recorder.tol}",
-                trace=recorder.build(),
-            )
+            if going:
+                # Roundoff floors the spread before very tight tolerances are
+                # met; detect the stall instead of burning the round budget.
+                stalls[row] = stalls[row] + 1 if spread[row] >= 0.99 * previous[row] else 0
+                going = stalls[row] < 2
+                if not going and not (accept_stagnation and spread[row] < _STAGNATION_SPREAD_BOUND):
+                    failure = (index, NonConvergenceError(
+                        f"{recorder.name} stagnated at spread {spread[row]:.3e} "
+                        f"above tolerance {recorder.tol}",
+                        trace=recorder.build(),
+                    ))
+                    break
+            if going:
+                keep.append(row)
+            else:
+                limits[index] = mats[row, 0]
+                finished_rounds += rounds
+        if not keep:
+            return limits, finished_rounds, failure
+        if len(keep) < len(live):
+            live, mats, frames = live[keep], mats[keep], frames[keep]
+            stalls, spread = stalls[keep], spread[keep]
         if n == 2:
-            current = (
-                geodesic(current[0], current[1], s_tuple[0]),
-                geodesic(current[1], current[0], s_tuple[0]),
-            )
+            partners = mats[:, ::-1]
         else:
-            # Inner means run at a tighter tolerance so their error does not
-            # contaminate the outer spread sequence near its own tolerance.
-            inner_tol = max(1e-2 * recorder.tol, 1e-14)
-            inner_name = f"inner {n - 1}-matrix level of the recursive geometric mean"
-            partners = [
-                _recursive_mean(current[:i] + current[i + 1:], s_tuple[1:],
-                                _level_recorder(inner_tol, recorder.max_steps, inner_name),
-                                accept_stagnation=True)[0]
-                for i in range(n)
-            ]
-            current = tuple(
-                geodesic(current[i], partners[i], s_tuple[0]) for i in range(n)
-            )
-        rounds += 1
-        previous, spread = spread, _max_pairwise_distance(current)
-    return current[0], rounds
+            level = recorders[0]
+            partners, inner_failure = _partners(mats, frames, s_tuple[1:], level.tol, level.max_steps)
+            if inner_failure is not None:
+                cut = inner_failure[0] // n
+                failure = (live[cut], inner_failure[1])
+                if cut == 0:
+                    return limits, finished_rounds, failure
+                live, mats, frames = live[:cut], mats[:cut], frames[:cut]
+                stalls, spread, partners = stalls[:cut], spread[:cut], partners[:cut]
+        mats = frames.power_sandwich(partners, s_tuple[0])
+        frames = _Frame(mats)
+        previous, spread = spread, _spreads(mats, frames)
+
+
+def _partners(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
+              tol: float, max_rounds: int) -> tuple[np.ndarray, _Failure]:
+    """The n leave-one-out means of each of k n-tuples, as a (k, n, d, d)
+    stack, with the first failure by sub-tuple index (sub-tuple i n + j
+    leaves out P_j of tuple i).
+
+    The k n sub-tuples take their frames from the parents' and run in
+    consecutive chunks of at most ``_SLICE_BYTES`` of matrices, which
+    bounds the breadth-first state of the levels below: one chunk at
+    d = 3, one sub-tuple at a time at d = 128.  Inner means run at a
+    tighter tolerance so their error does not contaminate the outer
+    spread sequence near its own tolerance.
+    """
+    k, n = mats.shape[:2]
+    rows = np.arange(k).repeat(n)[:, None]
+    cols = np.tile(_index_sets(n)[2], (k, 1))
+    subs, sub_frames = mats[rows, cols], frames[rows, cols]
+    inner_tol = max(1e-2 * tol, 1e-14)
+    name = f"inner {n - 1}-matrix level of the recursive geometric mean"
+    partners = np.empty((k * n,) + mats.shape[2:])
+    start = 0
+    for chunk in _slices(subs):
+        stop = start + len(chunk)
+        recorders = [_level_recorder(inner_tol, max_rounds, name) for _ in chunk]
+        partners[start:stop], _, failure = _recursive_mean(
+            chunk, sub_frames[start:stop], s_tuple, recorders, accept_stagnation=True)
+        if failure is not None:
+            return partners.reshape(mats.shape), (start + failure[0], failure[1])
+        start = stop
+    return partners.reshape(mats.shape), None
 
 
 def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
@@ -353,5 +432,8 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
             f"parameter tuple has {len(params.s_tuple)} entries, need {n - 1}"
         )
     recorder = _level_recorder(tol, max_rounds, "recursive geometric mean")
-    limit, _ = _recursive_mean(tuple(Ps), params.s_tuple, recorder)
-    return limit, recorder.build()
+    mats = np.stack([P.array for P in Ps])[None]
+    limits, _, failure = _recursive_mean(mats, _Frame(mats), params.s_tuple, [recorder])
+    if failure is not None:
+        raise failure[1]
+    return SpdMatrix._frozen(limits[0]), recorder.build()

@@ -208,6 +208,8 @@ def _require_positive(*xs: float) -> None:
     for x in xs:
         if not x > 0:
             raise DomainError(f"inputs must be positive, got {x!r}")
+        if not math.isfinite(x):
+            raise DomainError(f"inputs must be finite, got {x!r}")
 
 
 def _arithmetic(x: float, y: float) -> float:

@@ -10,12 +10,15 @@ a base X goes through one ``_Frame``: X = F F^T with G = F^{-1}, built
 once per base, whitening P to G P G^T for the distance rho(X, P) and the
 geodesic X #_t P = F (G P G^T)^t F^T, and lifting a tangent S to
 F exp(S) F^T for the exp map.  A walk of geodesic steps moves its frame
-with one eigh per step.  A fan-out from one base to many matrices passes
-them as ``_stacks``, slices of at most ``_SLICE_BYTES``: one call for up
-to 1,820 matrices at d = 3.  On them, behind the validated
-:class:`SpdMatrix`, sit spectral matrix functions, the affine-invariant
-Riemannian distance, the weighted-geometric-mean geodesic, weighted
-arithmetic/harmonic means, the Loewner order, and the S-divergence.
+with one eigh per step.  A frame of a stack of bases, from one eigh,
+pairs each base with its own target: the recursive means step and
+measure all their tuples at once through it.  A fan-out from one base to
+many matrices passes them as ``_stacks``, slices of at most
+``_SLICE_BYTES``: one call for up to 1,820 matrices at d = 3.  On them,
+behind the validated :class:`SpdMatrix`, sit spectral matrix functions,
+the affine-invariant Riemannian distance, the weighted-geometric-mean
+geodesic, weighted arithmetic/harmonic means, the Loewner order, and the
+S-divergence.
 """
 
 from __future__ import annotations
@@ -35,6 +38,17 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     out = a + a.mT
     out *= 0.5
     return out
+
+
+def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a matrix or of each matrix of a stack, eigenpairs reversed to
+    descending order and copied, so the eigenvectors are C-contiguous like
+    any stored array and products with them round the same way."""
+    try:
+        lam, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    return lam[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 class SpdMatrix:
@@ -112,12 +126,7 @@ class SpdMatrix:
         so no locking is needed.
         """
         if self._eig is None:
-            try:
-                lam, vecs = np.linalg.eigh(self._array)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"eigendecomposition failed: {exc}") from exc
-            order = np.argsort(lam)[::-1]
-            self._eig = (lam[order].copy(), vecs[:, order].copy())
+            self._eig = _descending_eigh(self._array)
         return self._eig
 
     def __repr__(self) -> str:
@@ -262,6 +271,13 @@ class _Frame:
     a symmetric root is its own transpose, and multiplying by the
     transposed view instead rounds differently (d = 32 with OpenBLAS).
 
+    A frame built from an array holds the roots of every matrix of a
+    ``(..., d, d)`` stack of bases, from one eigh in the descending order
+    of ``SpdMatrix.eigen``, so each base's roots are the ones its
+    SpdMatrix would give.  Its methods then pair the i-th base with the
+    i-th matrix of a matching stack, and indexing it selects bases
+    without decomposing them again.
+
     A walk of geodesic steps (the inductive, Holbrook, circumcenter and
     median iterations) moves the frame: with (mu, V) the whitened
     spectrum of P, ``advance`` sets F <- (F V) diag(mu^{t/2}), one eigh
@@ -274,16 +290,27 @@ class _Frame:
 
     __slots__ = ("_F", "_Ft", "_G", "_Gt", "_base")
 
-    def __init__(self, base: SpdMatrix):
-        lam, vecs = base.eigen()
+    def __init__(self, base: SpdMatrix | np.ndarray):
+        """Frame of an SpdMatrix (cached decomposition) or of each matrix of
+        an array stack of SPD bases (fresh eigh)."""
+        is_matrix = isinstance(base, SpdMatrix)
+        lam, vecs = base.eigen() if is_matrix else _descending_eigh(base)
         root = np.sqrt(lam)
         self._F = self._Ft = _assemble(vecs, root)
         self._G = self._Gt = _assemble(vecs, root, divide=True)
-        self._base = base
+        self._base = base if is_matrix else None
+
+    def __getitem__(self, index) -> "_Frame":
+        """The frames of the bases ``index`` selects from a stack frame."""
+        out = object.__new__(_Frame)
+        out._F = out._Ft = self._F[index]
+        out._G = out._Gt = self._G[index]
+        out._base = None
+        return out
 
     @property
     def dimension(self) -> int:
-        return self._F.shape[0]
+        return self._F.shape[-1]
 
     def whiten(self, Ps: np.ndarray) -> np.ndarray:
         """G P G^T for a (d, d) P or each matrix of a stack."""
@@ -299,6 +326,14 @@ class _Frame:
         matrix of a stack; ``_rho(mu)`` is the distance from the base."""
         mu, vecs = np.linalg.eigh(self.whiten(Ps))
         return _positive(mu), vecs
+
+    def power_sandwich(self, Ys: np.ndarray, t: float) -> np.ndarray:
+        """F (G Y G^T)^t F^T, symmetrized, for a (d, d) Y or each matrix of
+        a stack: X #_t Y, and Y itself at t = 1."""
+        if t == 1.0:
+            return Ys
+        mu, vecs = self.spectra(Ys)
+        return _symmetrize(self.lift(_assemble(vecs, np.power(mu, t))))
 
     def distances(self, Ps: np.ndarray) -> np.ndarray:
         """rho(X, P) for a (d, d) P (a 0-d result) or each matrix of a stack."""
@@ -338,9 +373,7 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     """X^{1/2} (X^{-1/2} Y X^{-1/2})^t X^{1/2} without range checks on t."""
-    frame = _Frame(X)
-    mu, vecs = frame.spectra(Y.array)
-    return SpdMatrix._trusted(frame.lift(_assemble(vecs, np.power(mu, t))))
+    return SpdMatrix._frozen(_Frame(X).power_sandwich(Y.array, t))
 
 
 def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:

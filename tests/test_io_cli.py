@@ -222,6 +222,15 @@ def test_non_finite_parameters_exit_code(capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["arithmetic", "geometric", "harmonic", "power:0.5", "agm", "ahm"])
+def test_scalar_infinite_input_exit_code(kind, capsys):
+    assert main(["scalar", "--kind", kind, "--x", "inf", "--y", "2"]) == 1
+    assert main(["scalar", "--kind", kind, "--x", "2", "--y", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # CLI: pair and multi commands
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ root has one home: only ``_Frame`` inverts a matrix or assembles
 U diag(lambda)^{-1} U^T.  The trace contract lives in ``convergence``:
 only ``TraceRecorder`` decides ``converged`` and raises the budget-cap
 NonConvergenceError.  The four sequential walks step through a moving
-``_Frame`` (one eigh per step), not through the two-eigh ``geodesic`` or
-``riemannian_distance``.
+``_Frame`` (one eigh per step), and the recursive means step all their
+tuples at once through a stacked ``_Frame`` (one eigh per level and
+round), not through the two-eigh ``geodesic`` or ``riemannian_distance``.
 """
 
 from __future__ import annotations
@@ -101,10 +102,12 @@ def test_trace_contract_only_in_convergence():
     assert raises == NON_BUDGET_RAISES, f"NonConvergenceError built outside convergence: {raises}"
 
 
-#: The walks that carry a factor of their iterate, by module.
+#: The walks that carry a factor of their iterate, and the lockstep
+#: recursion that carries the frames of its tuples, by module.
 FACTORED_WALKS = {
     "stochastic.py": {"_inductive_walk"},
-    "multi_means.py": {"holbrook_inductive_mean", "riemannian_circumcenter", "bacak_median"},
+    "multi_means.py": {"holbrook_inductive_mean", "riemannian_circumcenter", "bacak_median",
+                       "_recursive_mean"},
 }
 TWO_EIGH_STEPS = {"geodesic", "riemannian_distance"}
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdmeans import (
     DomainError,
@@ -19,6 +23,8 @@ from spdmeans import (
     riemannian_distance,
     weighted_arithmetic,
 )
+from spdmeans import multi_means, spd_core
+from spdmeans.convergence import MATRIX_ORDER_FLOOR, TraceRecorder
 from tests.conftest import perturb_spd, psd_decrement, random_invertible, random_spd
 
 
@@ -366,3 +372,112 @@ def test_recursive_stagnation_raises_with_partial_trace(rng):
     trace = err.value.trace
     assert trace is not None and not trace.converged
     assert trace.steps and trace.steps[-1].error > 1e-16
+
+
+def _sequential_level(mats, s_tuple, recorder, accept_stagnation=False):
+    """One level of the recursive mean computed depth-first, one geodesic and
+    one distance at a time: the reference for the lockstep recursion."""
+    def spread_of(tup):
+        return max(riemannian_distance(p, q) for i, p in enumerate(tup) for q in tup[i + 1:])
+
+    n, rounds, stalls = len(mats), 0, 0
+    previous, spread = math.inf, spread_of(mats)
+    while recorder.record(rounds, None, spread):
+        stalls = stalls + 1 if spread >= 0.99 * previous else 0
+        if stalls >= 2:
+            if accept_stagnation and spread < 1e-6:
+                break
+            raise NonConvergenceError(f"{recorder.name} stagnated at spread {spread:.3e} "
+                                      f"above tolerance {recorder.tol}", trace=recorder.build())
+        if n == 2:
+            partners = mats[::-1]
+        else:
+            name = f"inner {n - 1}-matrix level of the recursive geometric mean"
+            partners = [
+                _sequential_level(mats[:i] + mats[i + 1:], s_tuple[1:],
+                                  TraceRecorder(max(1e-2 * recorder.tol, 1e-14), recorder.max_steps,
+                                                name, unit="rounds", order_floor=MATRIX_ORDER_FLOOR),
+                                  accept_stagnation=True)
+                for i in range(n)
+            ]
+        mats = tuple(geodesic(p, q, s_tuple[0]) for p, q in zip(mats, partners))
+        rounds += 1
+        previous, spread = spread, spread_of(mats)
+    return mats[0]
+
+
+def _sequential_mean(mats, params, tol):
+    recorder = TraceRecorder(tol, 100, "recursive geometric mean", unit="rounds",
+                             order_floor=MATRIX_ORDER_FLOOR)
+    return _sequential_level(tuple(mats), params.s_tuple, recorder), recorder.build()
+
+
+def _outcome(mean_fn):
+    """(mean array, trace errors), or (error message, partial trace errors)."""
+    try:
+        mean, trace = mean_fn()
+    except NonConvergenceError as exc:
+        return str(exc), exc.trace.errors
+    return mean.array, trace.errors
+
+
+def _assert_same_outcome(mats, params, tol):
+    got = _outcome(lambda: recursive_geometric_mean(mats, params, tol=tol))
+    expected = _outcome(lambda: _sequential_mean(mats, params, tol))
+    assert type(got[0]) is type(expected[0])
+    if isinstance(expected[0], str):
+        assert got[0] == expected[0]
+    else:
+        assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), d=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["bmp", "alm"]), tol=st.sampled_from([1e-6, 1e-10, 1e-12]))
+def test_lockstep_recursion_matches_sequential_reference(seed, n, d, kind, tol):
+    srng = np.random.default_rng(seed)
+    mats = [random_spd(srng, d) for _ in range(n)]
+    _assert_same_outcome(mats, getattr(RecursiveMeanParams, kind)(n), tol)
+
+
+def test_chunked_recursion_is_bit_identical(rng, monkeypatch):
+    mats = [random_spd(rng, 3) for _ in range(4)]
+    params = RecursiveMeanParams.bmp(4)
+    srng = np.random.default_rng(9)  # an inner level of ALM n = 5 fails on this tuple
+    failing = [random_spd(srng, 3) for _ in range(5)]
+    failed = _outcome(lambda: recursive_geometric_mean(failing, RecursiveMeanParams.alm(5), tol=1e-10))
+    batches = []
+    lockstep = multi_means._recursive_mean
+
+    def spy(stack, *args, **kwargs):
+        batches.append(len(stack))
+        return lockstep(stack, *args, **kwargs)
+
+    monkeypatch.setattr(multi_means, "_recursive_mean", spy)
+    whole, whole_trace = recursive_geometric_mean(mats, params)
+    assert max(batches) == 12
+    batches.clear()
+    monkeypatch.setattr(spd_core, "_SLICE_BYTES", mats[0].array.nbytes)
+    chunked, chunked_trace = recursive_geometric_mean(mats, params)
+    assert max(batches) == 1
+    assert np.array_equal(chunked.array, whole.array)
+    assert chunked_trace == whole_trace
+    # Slices of eight matrices hold two 4-tuples or two 3-tuples, so inner
+    # levels fail in later chunks of batches that span several parents.
+    monkeypatch.setattr(spd_core, "_SLICE_BYTES", 8 * mats[0].array.nbytes)
+    chunked_failure = _outcome(
+        lambda: recursive_geometric_mean(failing, RecursiveMeanParams.alm(5), tol=1e-10))
+    assert chunked_failure[0] == failed[0] and np.array_equal(chunked_failure[1], failed[1])
+
+
+@pytest.mark.parametrize("seed", [4, 8, 9])
+def test_lockstep_failure_matches_sequential_reference(seed):
+    # An inner level of ALM n = 5 fails on these tuples, and a later sibling
+    # fails in fewer rounds than an earlier one: the error must still be the
+    # one the depth-first recursion meets first.
+    srng = np.random.default_rng(seed)
+    mats = [random_spd(srng, 3) for _ in range(5)]
+    with pytest.raises(NonConvergenceError):
+        recursive_geometric_mean(mats, RecursiveMeanParams.alm(5), tol=1e-10)
+    _assert_same_outcome(mats, RecursiveMeanParams.alm(5), 1e-10)

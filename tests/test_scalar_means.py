@@ -52,6 +52,19 @@ def test_pythagorean_rejects_nonpositive_and_unknown():
         pythagorean_mean("median", 1, 2)
 
 
+@pytest.mark.parametrize("mean", [
+    lambda x, y: pythagorean_mean("arithmetic", x, y),
+    lambda x, y: pythagorean_mean("harmonic", x, y),
+    lambda x, y: power_mean(0.5, x, y),
+    agm,
+    ahm,
+])
+def test_scalar_means_reject_infinite_inputs(mean):
+    for x, y in ((math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            mean(x, y)
+
+
 def test_power_mean_examples():
     assert power_mean(1, 4, 9) == pytest.approx(6.5, rel=1e-15)
     assert power_mean(0, 4, 9) == pytest.approx(6.0, rel=1e-15)
