@@ -25,7 +25,7 @@ from spdmeans import (
 )
 from spdmeans import multi_means, spd_core
 from spdmeans.convergence import MATRIX_ORDER_FLOOR, TraceRecorder
-from tests.conftest import perturb_spd, psd_decrement, random_invertible, random_spd
+from tests.conftest import exp_at, perturb_spd, psd_decrement, random_invertible, random_spd
 
 
 def uniform_start(mats):
@@ -95,9 +95,11 @@ def test_karcher_refine_weighted_two_points_is_geodesic(rng):
 
 def test_karcher_refine_commuting_diagonals():
     mats = [SpdMatrix(np.diag([v, 2 * v])) for v in (2.0, 5.0, 11.0)]
-    out, _ = karcher_refine(uniform_start(mats), mats, tol=1e-12)
+    out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-12)
     g = (2.0 * 5.0 * 11.0) ** (1 / 3)
     np.testing.assert_allclose(out.array, np.diag([g, 2 * g]), rtol=1e-10)
+    # commuting inputs: the unit step lands on the mean in one iteration
+    assert trace.iterations_used == 1
 
 
 def test_karcher_refine_residual_meets_tolerance(rng):
@@ -136,6 +138,60 @@ def test_karcher_mean_monotone(rng):
         assert karcher_residual(gs, smaller) <= 1e-10
         from spdmeans import loewner_leq
         assert loewner_leq(gs, g)
+
+
+def test_karcher_refine_keeps_unit_steps_on_concentrated_sets(rng):
+    # every residual at least halves, so every step is the unit step: the
+    # iterates are the plain fixed-point iteration's, bit for bit
+    mats = [random_spd(rng, 4, 0.5) for _ in range(5)]
+    weights, stacks = WeightVector.uniform(5).values, spd_core._stacks(mats)
+    G, errors = uniform_start(mats), []
+    while True:
+        tangent = multi_means._weighted_log_sum(spd_core._Frame(G), stacks, weights)
+        errors.append(float(np.linalg.norm(tangent)))
+        if errors[-1] <= 1e-12:
+            break
+        G = exp_at(G, tangent)
+    out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-12)
+    assert trace.errors == errors
+    np.testing.assert_array_equal(out.array, G.array)
+
+
+def test_karcher_step_size_limits():
+    # a whitened identity (c = 1) takes the term's limit 2, so theta = 1
+    assert multi_means._bini_iannazzo_step(np.array([0.5, 0.5]), [np.ones(2)]) == 1.0
+    # c slightly above 1 is continuous with the limit; spread inputs damp the step
+    near = multi_means._bini_iannazzo_step(np.array([0.5, 0.5]), [np.array([1.0 + 1e-12, 1.0])])
+    assert near == pytest.approx(1.0, abs=1e-11)
+    c = np.array([math.e ** 8, 1.0])
+    theta = multi_means._bini_iannazzo_step(np.array([0.5, 0.5]), [c])
+    assert theta == pytest.approx(2.0 / (0.5 * (c[0] + 1) / (c[0] - 1) * 8.0 + 0.5 * 2.0))
+    assert 0.0 < theta < 1.0
+
+
+def test_karcher_refine_converges_on_spread_sets(rng):
+    # d = 8, log-eigenvalues uniform in [-4, 4]: the unit step alone exceeds
+    # the 500-iteration cap on these sets
+    for _ in range(3):
+        mats = [random_spd(rng, 8, 4.0) for _ in range(3)]
+        out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-12)
+        assert trace.converged
+        assert trace.iterations_used <= 100
+        assert karcher_residual(out, mats) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), spread=st.floats(0.5, 4.0), n=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_karcher_refine_converges_property(d, spread, n, seed):
+    rng = np.random.default_rng(seed)
+    mats = [random_spd(rng, d, spread) for _ in range(n)]
+    out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-10)
+    assert trace.converged
+    assert trace.iterations_used < multi_means.KARCHER_REFINE_MAX_ITERATIONS
+    residual = karcher_residual(out, mats)
+    assert residual <= 1e-10
+    assert trace.final_error == pytest.approx(residual, abs=1e-12)
 
 
 def test_karcher_refine_cap_raises(rng):

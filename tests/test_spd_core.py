@@ -242,6 +242,13 @@ def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, sections):
     for w, y in zip(weights, ys):
         expected = expected + w * _spectral(frame.whiten(y.array), np.log)
     np.testing.assert_array_equal(_weighted_log_sum(frame, slices, weights), expected)
+    # the condition numbers it can hand back come from the same spectra; a
+    # second eigensolver agrees on c = lambda_max / lambda_min to about c eps
+    conditions = []
+    np.testing.assert_array_equal(_weighted_log_sum(frame, slices, weights, conditions), expected)
+    lam = np.linalg.eigvalsh(frame.whiten(stack))
+    c = lam[:, -1] / lam[:, 0]
+    np.testing.assert_allclose(np.concatenate(conditions), c, rtol=64 * np.finfo(float).eps * c.max())
 
 
 def test_distance_congruence_invariance(rng):
