@@ -19,7 +19,6 @@ import numpy as np
 
 from .convergence import ConvergenceTrace
 from .errors import DefinitenessError, MatrixSetError, ShapeError
-from .multi_means import MatrixTuple
 from .spd_core import SpdMatrix
 
 #: Relative asymmetry beyond which an input matrix is rejected instead of
@@ -27,8 +26,9 @@ from .spd_core import SpdMatrix
 ASYMMETRY_TOLERANCE = 1e-12
 
 
-def matrix_set_from_document(doc: dict) -> MatrixTuple:
-    """Validate a parsed matrix-set document into a MatrixTuple."""
+def matrix_set_from_document(doc: dict) -> tuple[SpdMatrix, ...]:
+    """Validate a parsed matrix-set document into a nonempty tuple of
+    matrices of dimension ``d``."""
     if not isinstance(doc, dict) or "d" not in doc or "matrices" not in doc:
         raise MatrixSetError('matrix set must be an object with "d" and "matrices"')
     d = doc["d"]
@@ -63,10 +63,10 @@ def matrix_set_from_document(doc: dict) -> MatrixTuple:
             ) from exc
         except ShapeError as exc:
             raise MatrixSetError(f"matrix {index}: {exc}") from exc
-    return MatrixTuple(tuple(out))
+    return tuple(out)
 
 
-def parse_matrix_set(path: str | Path) -> MatrixTuple:
+def parse_matrix_set(path: str | Path) -> tuple[SpdMatrix, ...]:
     """Read and validate a matrix-set JSON file.
 
     Rejects unparsable documents, wrong entry counts, non-finite entries,
@@ -84,7 +84,7 @@ def parse_matrix_set(path: str | Path) -> MatrixTuple:
     return matrix_set_from_document(doc)
 
 
-def serialize_matrix_set(matrices: Sequence[SpdMatrix] | MatrixTuple) -> str:
+def serialize_matrix_set(matrices: Sequence[SpdMatrix]) -> str:
     """Matrix-set JSON text with round-trip-exact floats."""
     mats = list(matrices)
     if not mats:

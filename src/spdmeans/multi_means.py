@@ -33,16 +33,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
-from .errors import DomainError, NonConvergenceError, ShapeError
+from .errors import DomainError, NonConvergenceError
 from .spd_core import (
     SpdMatrix,
     WeightVector,
-    _check_same_dimension,
+    _check_weight_count,
     _Frame,
     _rho,
     _slices,
     _spectral,
-    _stacks,
+    _stack,
 )
 
 KARCHER_REFINE_MAX_ITERATIONS = 500
@@ -54,42 +54,6 @@ CIRCUMCENTER_DEFAULT_STEPS = 10_000
 MEDIAN_DEFAULT_SWEEPS = 1_000
 MEDIAN_DISTANCE_GUARD = 1e-14
 RECURSIVE_DEFAULT_MAX_ROUNDS = 100
-
-
-@dataclass(frozen=True)
-class MatrixTuple:
-    """Nonempty tuple of SPD matrices sharing one dimension."""
-
-    matrices: tuple[SpdMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.matrices) < 1:
-            raise DomainError("need at least one matrix")
-        d = self.matrices[0].dimension
-        for i, m in enumerate(self.matrices):
-            if m.dimension != d:
-                raise ShapeError(
-                    f"matrix {i} has dimension {m.dimension}, expected {d}"
-                )
-
-    @property
-    def dimension(self) -> int:
-        return self.matrices[0].dimension
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, i) -> SpdMatrix:
-        return self.matrices[i]
-
-
-def as_matrix_tuple(Ps) -> MatrixTuple:
-    if isinstance(Ps, MatrixTuple):
-        return Ps
-    return MatrixTuple(tuple(Ps))
 
 
 @dataclass(frozen=True)
@@ -124,19 +88,19 @@ class RecursiveMeanParams:
 # Karcher mean machinery
 # ---------------------------------------------------------------------------
 
-def _weighted_log_sum(frame: _Frame, stacks: list[np.ndarray], weights: np.ndarray,
+def _weighted_log_sum(frame: _Frame, stack: np.ndarray, weights: np.ndarray,
                       conditions: list[np.ndarray] | None = None) -> np.ndarray:
-    """Weighted sum of the whitened logs log(G P_i G^T) of the matrices in
-    ``stacks``: one eigh per stack, then the terms added in order.  A
-    ``conditions`` list receives, per stack, the condition numbers
-    lambda_max / lambda_min of its whitened matrices, read off the same
-    spectra."""
+    """Weighted sum of the whitened logs log(G P_i G^T) of the matrices of
+    an (n, d, d) stack: one eigh per ``_slices`` slice, then the terms added
+    in order.  A ``conditions`` list receives, per slice, the condition
+    numbers lambda_max / lambda_min of its whitened matrices, read off the
+    same spectra."""
     f = np.log
     if conditions is not None:
         def f(lam):
             conditions.append(lam[..., -1] / lam[..., 0])
             return np.log(lam)
-    logs = (log for stack in stacks for log in _spectral(frame.whiten(stack), f))
+    logs = (log for part in _slices(stack) for log in _spectral(frame.whiten(part), f))
     acc = np.zeros((frame.dimension, frame.dimension))
     for w, log in zip(weights, logs):
         acc = acc + w * log
@@ -151,15 +115,15 @@ def karcher_residual(G: SpdMatrix, Ps) -> float:
     Vanishes exactly when G is the Karcher (Riemannian least-squares)
     mean of the tuple.
     """
-    Ps = as_matrix_tuple(Ps)
-    _check_same_dimension(G, Ps)
-    return _residual(_Frame(G), _stacks(Ps), len(Ps))
+    return _residual(_Frame(G), _stack(Ps, G))
 
 
-def _residual(frame: _Frame, stacks: list[np.ndarray], n: int) -> float:
-    """The Karcher residual at the frame's base.  Any factor F of the base
-    gives the same norm: the whitened logs of two factors differ by a rotation."""
-    return float(np.linalg.norm(_weighted_log_sum(frame, stacks, np.ones(n))) / n)
+def _residual(frame: _Frame, stack: np.ndarray) -> float:
+    """The Karcher residual of an (n, d, d) stack at the frame's base.  Any
+    factor F of the base gives the same norm: the whitened logs of two
+    factors differ by a rotation."""
+    n = len(stack)
+    return float(np.linalg.norm(_weighted_log_sum(frame, stack, np.ones(n))) / n)
 
 
 def _bini_iannazzo_step(weights: np.ndarray, conditions: list[np.ndarray]) -> float:
@@ -194,20 +158,18 @@ def karcher_refine(G0: SpdMatrix, Ps, w: WeightVector | None = None,
     condition number of G^{-1/2} P_i G^{-1/2}; theta lies in (0, 1] and
     comes from the eigenvalues the log-sum already computes.
     """
-    Ps = as_matrix_tuple(Ps)
-    _check_same_dimension(G0, Ps)
+    stack = _stack(Ps, G0)
     if w is None:
-        w = WeightVector.uniform(len(Ps))
-    if len(w) != len(Ps):
-        raise DomainError(f"{len(Ps)} matrices but {len(w)} weights")
+        w = WeightVector.uniform(len(stack))
+    _check_weight_count(len(stack), w)
     # max_iter counts residual evaluations: the step index is the evaluation.
     recorder = TraceRecorder(tol, max_iter, "Karcher refinement", order_floor=MATRIX_ORDER_FLOOR)
-    weights, stacks = w.values, _stacks(Ps)
+    weights = w.values
     G, previous = G0, math.inf
     for t in count(1):
         frame = _Frame(G)
         conditions: list[np.ndarray] = []
-        tangent = _weighted_log_sum(frame, stacks, weights, conditions)
+        tangent = _weighted_log_sum(frame, stack, weights, conditions)
         residual = float(np.linalg.norm(tangent))
         if not recorder.record(t, None, residual):
             return G, recorder.build()
@@ -226,19 +188,20 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
     trace records the Karcher residual every n steps for monitoring
     rather than a stopping rule.
     """
-    Ps = as_matrix_tuple(Ps)
-    n = len(Ps)
+    Ps = list(Ps)
+    stack = _stack(Ps)
+    n = len(stack)
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     if n == 1:
         recorder.record(0, None, 0.0)
         return Ps[0], recorder.build()
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
-    walk, stacks = _Frame(Ps[0]), _stacks(Ps)
+    walk = _Frame(Ps[0])
     for t in range(1, steps + 1):
-        walk.step(Ps[t % n].array, 1.0 / (t + 1))
+        walk.step(stack[t % n], 1.0 / (t + 1))
         if t % n == 0:
-            recorder.record(t, None, _residual(walk, stacks, n))
+            recorder.record(t, None, _residual(walk, stack))
     return walk.base(), recorder.build(iterations_used=steps)
 
 
@@ -254,22 +217,22 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     covering radius max_i rho(C_t, P_i) each step; it is nonincreasing
     in the limit, not per step.
     """
-    Ps = as_matrix_tuple(Ps)
+    Ps = list(Ps)
+    stack = _stack(Ps)
     if steps < 1:
         raise DomainError(f"need at least 1 step, got {steps}")
-    C = Ps[0]
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
-    if len(Ps) == 1:
+    if len(stack) == 1:
         recorder.record(0, None, 0.0)
-        return C, recorder.build()
-    walk, stacks = _Frame(C), _stacks(Ps)
+        return Ps[0], recorder.build()
+    walk, parts = _Frame(Ps[0]), _slices(stack)
     for t in range(1, steps + 1):
-        mu, vecs = (np.concatenate(parts) for parts in zip(*map(walk.spectra, stacks)))
+        mu, vecs = (np.concatenate(spectra) for spectra in zip(*map(walk.spectra, parts)))
         distances = _rho(mu)
         far = int(np.argmax(distances))
         recorder.record(t - 1, None, float(distances[far]))
         walk.advance(mu[far], vecs[far], 1.0 / (t + 1))
-    recorder.record(steps, None, float(walk.fan_out(stacks).max()))
+    recorder.record(steps, None, float(walk.fan_out(stack).max()))
     return walk.base(), recorder.build()
 
 
@@ -286,12 +249,13 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
     toward a point the iterate already sits on (rho below 1e-14) are
     skipped.  rho(X, P_i) and the step come from one eigendecomposition
     of P_i whitened through the walk's factor of X, so the guard measures
-    rho at the iterate X, not at P_i.  The schedule must satisfy
-    sum lambda_k = inf and sum lambda_k^2 < inf (default
-    lambda_k = 1/(k+1)).  The trace records the median objective
+    rho at the iterate X, not at P_i.  The schedule must be finite and
+    positive and satisfy sum lambda_k = inf and sum lambda_k^2 < inf
+    (default lambda_k = 1/(k+1)).  The trace records the median objective
     (1/n) sum_i rho(X, P_i) after each sweep.
     """
-    Ps = as_matrix_tuple(Ps)
+    Ps = list(Ps)
+    stack = _stack(Ps)
     if sweeps < 1:
         raise DomainError(f"need at least 1 sweep, got {sweeps}")
     if lambda_schedule is None:
@@ -303,20 +267,20 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
         if len(values) < sweeps:
             raise DomainError(f"schedule has {len(values)} entries but {sweeps} sweeps requested")
         schedule = lambda k: values[k]
-    n = len(Ps)
-    walk, stacks = _Frame(Ps[0]), _stacks(Ps)
+    n = len(stack)
+    walk = _Frame(Ps[0])
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     for k in range(sweeps):
         lam = float(schedule(k))
-        if lam <= 0:
-            raise DomainError(f"lambda schedule must be positive, got {lam} at sweep {k}")
-        for P in Ps:
-            mu, vecs = walk.spectra(P.array)
+        if not (math.isfinite(lam) and lam > 0):
+            raise DomainError(f"lambda schedule must be finite and positive, got {lam} at sweep {k}")
+        for P in stack:
+            mu, vecs = walk.spectra(P)
             dist = float(_rho(mu))
             if dist < MEDIAN_DISTANCE_GUARD:
                 continue
             walk.advance(mu, vecs, min(1.0, lam / (n * dist)))
-        objective = sum(walk.fan_out(stacks).tolist()) / n
+        objective = sum(walk.fan_out(stack).tolist()) / n
         recorder.record(k + 1, None, objective)
     return walk.base(), recorder.build(iterations_used=sweeps)
 
@@ -468,8 +432,8 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
     The BMP tuple converges cubically, the ALM tuple linearly; the trace
     records the spread per round for order estimation.
     """
-    Ps = as_matrix_tuple(Ps)
-    n = len(Ps)
+    mats = _stack(Ps)[None]
+    n = mats.shape[1]
     if n < 2:
         raise DomainError("recursive geometric mean needs at least two matrices")
     if len(params.s_tuple) != n - 1:
@@ -477,7 +441,6 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
             f"parameter tuple has {len(params.s_tuple)} entries, need {n - 1}"
         )
     recorder = _level_recorder(tol, max_rounds, "recursive geometric mean")
-    mats = np.stack([P.array for P in Ps])[None]
     limits, _, failure = _recursive_mean(mats, _Frame(mats), params.s_tuple, [recorder])
     if failure is not None:
         raise failure[1]

@@ -12,18 +12,20 @@ geodesic X #_t P = F (G P G^T)^t F^T, and lifting a tangent S to
 F exp(S) F^T for the exp map.  A walk of geodesic steps moves its frame
 with one eigh per step.  A frame of a stack of bases, from one eigh,
 pairs each base with its own target: the recursive means step and
-measure all their tuples at once through it.  A fan-out from one base to
-many matrices passes them as ``_stacks``, slices of at most
-``_SLICE_BYTES``: one call for up to 1,820 matrices at d = 3.  On them,
-behind the validated :class:`SpdMatrix`, sit spectral matrix functions,
-the affine-invariant Riemannian distance, the weighted-geometric-mean
-geodesic, weighted arithmetic/harmonic means, the Loewner order, and the
-S-divergence.
+measure all their tuples at once through it.  An entry point taking n
+matrices validates them once into one ``(n, d, d)`` array (``_stack``);
+a fan-out from one base over it calls the eigensolver once per slice of
+at most ``_SLICE_BYTES``: once for up to 1,820 matrices at d = 3.  On
+them, behind the validated :class:`SpdMatrix` at the boundary, sit
+spectral matrix functions, the affine-invariant Riemannian distance, the
+weighted-geometric-mean geodesic, weighted arithmetic/harmonic means,
+the Loewner order, and the S-divergence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -93,14 +95,6 @@ class SpdMatrix:
         of SPD terms), skipping the eigenvalue check.  Symmetrizes and
         freezes; internal use only."""
         return cls._frozen(_symmetrize(np.asarray(arr, dtype=float)))
-
-    @classmethod
-    def _trusted_stack(cls, stack: np.ndarray) -> list["SpdMatrix"]:
-        """``_trusted`` for every matrix of an (n, d, d) stack, symmetrized
-        at once; the matrices are read-only views of one array."""
-        sym = _symmetrize(stack)
-        sym.flags.writeable = False
-        return [cls._frozen(m) for m in sym]
 
     @classmethod
     def _frozen(cls, sym: np.ndarray) -> "SpdMatrix":
@@ -205,9 +199,19 @@ def _slices(stack: np.ndarray) -> list[np.ndarray]:
     return [stack[i:i + step] for i in range(0, len(stack), step)]
 
 
-def _stacks(Ps: Sequence[SpdMatrix]) -> list[np.ndarray]:
-    """The matrices' arrays as ``_slices`` of one stack, for the fan-out kernels."""
-    return _slices(np.stack([P.array for P in Ps]))
+def _stack(Ps: Iterable[SpdMatrix], *others: SpdMatrix) -> np.ndarray:
+    """The matrices of ``Ps`` as one (n, d, d) array, once checked to be at
+    least one and to share their dimension with each other and with
+    ``others``: the one place where matrices become a stack, so numpy never
+    sees ragged shapes."""
+    Ps = list(Ps)
+    if not Ps:
+        raise DomainError("need at least one matrix")
+    d = _check_same_dimension(*others, Ps[0])
+    for i, P in enumerate(Ps):
+        if P.dimension != d:
+            raise ShapeError(f"matrix {i} has dimension {P.dimension}, expected {d}")
+    return np.stack([P.array for P in Ps])
 
 
 def _assemble(vecs: np.ndarray, values: np.ndarray, divide: bool = False) -> np.ndarray:
@@ -318,7 +322,7 @@ class _Frame:
 
     def lift(self, Ss: np.ndarray) -> np.ndarray:
         """F S F^T for a (d, d) S or each matrix of a stack; not yet
-        symmetrized (wrap with ``SpdMatrix._trusted`` or ``_trusted_stack``)."""
+        symmetrized (wrap with ``SpdMatrix._trusted`` or ``_symmetrize``)."""
         return self._F @ Ss @ self._Ft
 
     def spectra(self, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,9 +343,9 @@ class _Frame:
         """rho(X, P) for a (d, d) P (a 0-d result) or each matrix of a stack."""
         return _rho(np.linalg.eigvalsh(self.whiten(Ps)))
 
-    def fan_out(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """rho(X, P) for every matrix of ``stacks``, one eigvalsh per stack."""
-        return np.concatenate([self.distances(stack) for stack in stacks])
+    def fan_out(self, stack: np.ndarray) -> np.ndarray:
+        """rho(X, P) for every matrix of an (n, d, d) stack, one eigvalsh per slice."""
+        return np.concatenate([self.distances(part) for part in _slices(stack)])
 
     def advance(self, mu: np.ndarray, vecs: np.ndarray, t: float) -> None:
         """Move the base to X #_t P, given the whitened spectrum of P from ``spectra``."""
@@ -393,11 +397,15 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     return _power_sandwich(X, Y, t)
 
 
+def _check_weight_count(n: int, w: WeightVector) -> None:
+    if len(w) != n:
+        raise ShapeError(f"{n} matrices but {len(w)} weights")
+
+
 def _weighted_sum(Ps: Sequence[SpdMatrix], w: WeightVector, term: Callable) -> np.ndarray:
     """sum_i w_i term(P_i), once the counts and dimensions are checked to agree."""
     Ps = list(Ps)
-    if len(Ps) != len(w):
-        raise ShapeError(f"{len(Ps)} matrices but {len(w)} weights")
+    _check_weight_count(len(Ps), w)
     _check_same_dimension(*Ps)
     acc = np.zeros_like(Ps[0].array)
     for wi, P in zip(w, Ps):
@@ -421,8 +429,10 @@ def loewner_leq(P: SpdMatrix, Q: SpdMatrix, tolerance: float = DEFAULT_PD_TOLERA
 
     Semi-definiteness is granted a slack of ``tolerance`` times the
     largest entry magnitude of the operands, so P <= P holds despite
-    roundoff.
+    roundoff; ``tolerance`` must be finite and nonnegative.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     _check_same_dimension(P, Q)
     diff = Q.array - P.array
     scale = max(np.abs(P.array).max(), np.abs(Q.array).max())

@@ -24,15 +24,7 @@ from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
 from .multi_means import _residual
 from .scalar_means import QuasiArithmeticGenerator
-from .spd_core import (
-    SpdMatrix,
-    _check_same_dimension,
-    _Frame,
-    _slices,
-    _spectral,
-    _stacks,
-    _symmetrize,
-)
+from .spd_core import SpdMatrix, _Frame, _slices, _spectral, _stack, _symmetrize
 
 #: Tangent samples are clipped to this many standard deviations, which
 #: keeps the sampling distribution inside a bounded support.
@@ -70,11 +62,18 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     exactly: the Karcher-equation residual of the batch at M vanishes by
     construction.  Batches are deterministic in the seed: pair i takes
     the i-th run of d(d+1)/2 normals of the seed's stream as the upper
-    triangle of S_i, row by row.
+    triangle of S_i, row by row.  At scale 0 every sample is the center.
     """
     if config.scale == 0.0:
         return [config.center] * config.count
+    return [SpdMatrix._frozen(X) for X in _sample_stack(config)]
+
+
+def _sample_stack(config: SampleConfig) -> np.ndarray:
+    """The batch of ``sample_spd`` as one read-only (count, d, d) array."""
     d, scale, pairs = config.center.dimension, config.scale, config.count // 2
+    if scale == 0.0:
+        return np.broadcast_to(config.center.array, (config.count, d, d))
     upper = np.triu_indices(d)
     s = np.zeros((pairs, d, d))
     s[:, upper[0], upper[1]] = np.clip(
@@ -84,32 +83,34 @@ def sample_spd(config: SampleConfig) -> list[SpdMatrix]:
     tangents = np.empty((config.count, d, d))
     tangents[0::2], tangents[1::2] = s, -s
     frame = _Frame(config.center)
-    return [X for part in _slices(tangents)
-            for X in SpdMatrix._trusted_stack(frame.lift(_spectral(part, np.exp)))]
+    batch = np.concatenate([_symmetrize(frame.lift(_spectral(part, np.exp)))
+                            for part in _slices(tangents)])
+    batch.flags.writeable = False
+    return batch
 
 
-def _inductive_walk(samples: Iterable[SpdMatrix], center: SpdMatrix | None,
+def _inductive_walk(samples: Iterable[np.ndarray], center: SpdMatrix | None,
                     checkpoints: Iterator[int]) -> tuple[SpdMatrix, ConvergenceTrace]:
-    """The running inductive mean of a stream, recording rho(M_t, center)
-    at each t of the ascending ``checkpoints`` and at the final sample.
-    The walk carries a factor of M_t; a recorded error is measured from
-    M_t itself, so it equals rho of the walk's result over that prefix."""
+    """The running inductive mean of a stream of SPD arrays, recording
+    rho(M_t, center) at each t of the ascending ``checkpoints`` and at the
+    final sample.  The walk carries a factor of M_t; a recorded error is
+    measured from M_t itself, so it equals rho of the walk's result over
+    that prefix."""
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
     walk: _Frame | None = None
+    d = None if center is None else center.dimension
     t = 0
     next_checkpoint = next(checkpoints, None)
     last_recorded = -1
     for t, X in enumerate(samples, 1):
+        if d is not None and X.shape[-1] != d:
+            raise ShapeError(f"sample {t} has dimension {X.shape[-1]}, expected {d}")
         if walk is None:
-            walk = _Frame(X)
-            if center is not None:
-                _check_same_dimension(X, center)
-        elif X.dimension != walk.dimension:
-            raise ShapeError(
-                f"sample dimension {X.dimension} does not match stream dimension {walk.dimension}"
-            )
+            # the frame of an SpdMatrix, so M_1 is X itself, bit for bit
+            walk = _Frame(SpdMatrix._frozen(X))
+            d = walk.dimension
         else:
-            walk.step(X.array, 1.0 / t)
+            walk.step(X, 1.0 / t)
         if center is not None and t == next_checkpoint:
             recorder.record(t, None, float(_Frame(walk.base()).distances(center.array)))
             last_recorded = t
@@ -130,21 +131,17 @@ def inductive_expectation(samples: Iterable[SpdMatrix],
     t = 10, 100, 1000, ... and at the final sample, giving the empirical
     law-of-large-numbers curve; the trace never claims convergence.
     """
-    return _inductive_walk(samples, center, (10 ** k for k in count(1)))
+    return _inductive_walk((X.array for X in samples), center, (10 ** k for k in count(1)))
 
 
 def spd_variance(samples: Sequence[SpdMatrix], center: SpdMatrix) -> float:
     """Mean squared Riemannian distance (1/n) sum_i rho^2(X_i, center),
     with every sample whitened by one inverse root of the center."""
-    samples = list(samples)
-    if not samples:
-        raise DomainError("need at least one sample")
-    _check_same_dimension(center, *samples)
-    return _variance(_Frame(center), _stacks(samples))
+    return _variance(_Frame(center), _stack(samples, center))
 
 
-def _variance(frame: _Frame, stacks: list[np.ndarray]) -> float:
-    return float(np.mean(frame.fan_out(stacks) ** 2))
+def _variance(frame: _Frame, stack: np.ndarray) -> float:
+    return float(np.mean(frame.fan_out(stack) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +203,15 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
     var_estimate: list[float] = []
     center_frame = _Frame(center)
     for seed in seeds:
-        config = SampleConfig(seed=seed, scale=scale, count=counts[-1], center=center)
-        batch = sample_spd(config)
+        batch = _sample_stack(SampleConfig(seed=seed, scale=scale, count=counts[-1],
+                                           center=center))
         order = _substream(seed, 2).permutation(len(batch))
-        stream = [batch[i] for i in order]
-        estimate, trace = _inductive_walk(stream, center, iter(sorted(set(counts))))
+        estimate, trace = _inductive_walk(batch[order], center, iter(sorted(set(counts))))
         by_step = {s.step: s.error for s in trace.steps}
         errors.append(tuple(by_step[c] for c in counts))
-        stacks = _stacks(batch)
-        residuals.append(_residual(center_frame, stacks, len(batch)))
-        var_center.append(_variance(center_frame, stacks))
-        var_estimate.append(_variance(_Frame(estimate), stacks))
+        residuals.append(_residual(center_frame, batch))
+        var_center.append(_variance(center_frame, batch))
+        var_estimate.append(_variance(_Frame(estimate), batch))
     medians = tuple(float(np.median([row[i] for row in errors]))
                     for i in range(len(counts)))
     return LlnReport(

@@ -480,12 +480,19 @@ def test_every_registered_kind_runs(tmp_path, capsys):
 
 
 def test_module_entry_point_subprocess():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import spdmeans
+
+    # the child imports the package from where this process found it
+    root = str(Path(spdmeans.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spdmeans", "scalar", "--kind", "ahm",
          "--x", "4", "--y", "9"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == pytest.approx(6.0, rel=1e-12)

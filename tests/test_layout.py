@@ -12,6 +12,9 @@ NonConvergenceError.  The four sequential walks step through a moving
 ``_Frame`` (one eigh per step), and the recursive means step all their
 tuples at once through a stacked ``_Frame`` (one eigh per level and
 round), not through the two-eigh ``geodesic`` or ``riemannian_distance``.
+Matrices become an ``(n, d, d)`` stack in one place, ``spd_core._stack``,
+which validates them first: the n-matrix entry points call it once and
+hand its array to the kernels.
 """
 
 from __future__ import annotations
@@ -23,23 +26,30 @@ EIGENSOLVERS = {"eigh", "eigvalsh"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdmeans"
 
 
-def _eigensolver_references(path: Path) -> list[str]:
-    """``<file>:<line>`` of every attribute access or import naming an eigensolver."""
+def _references(path: Path, names: set[str]) -> list[str]:
+    """``<file>:<top-level definition>:<line>`` of every attribute access or
+    import naming one of ``names``."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
-            found.append(f"{path.name}:{node.lineno}")
-        elif isinstance(node, ast.ImportFrom):
-            if any(alias.name in EIGENSOLVERS for alias in node.names):
-                found.append(f"{path.name}:{node.lineno}")
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name in names for alias in node.names)):
+                found.append(f"{path.name}:{getattr(top, 'name', '<module>')}:{node.lineno}")
     return found
 
 
 def test_eigensolvers_only_in_spd_core():
-    found = {path.name: _eigensolver_references(path) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {path.name: _references(path, EIGENSOLVERS) for path in sorted(PACKAGE.glob("*.py"))}
     assert found.pop("spd_core.py"), "the scan finds no eigensolver even in spd_core"
     offenders = [ref for refs in found.values() for ref in refs]
     assert offenders == [], f"eigh/eigvalsh referenced outside spd_core: {offenders}"
+
+
+def test_matrices_are_stacked_only_by_spd_core_stack():
+    found = [ref.rsplit(":", 1)[0] for path in sorted(PACKAGE.glob("*.py"))
+             for ref in _references(path, {"stack"})]
+    assert found == ["spd_core.py:_stack"], f"np.stack referenced outside spd_core._stack: {found}"
 
 
 def _inverse_root_calls(path: Path) -> dict[str, list[int]]:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spdmeans import (
     DomainError,
-    MatrixTuple,
     NonConvergenceError,
     RecursiveMeanParams,
     ShapeError,
@@ -21,6 +20,7 @@ from spdmeans import (
     recursive_geometric_mean,
     riemannian_circumcenter,
     riemannian_distance,
+    spd_variance,
     weighted_arithmetic,
 )
 from spdmeans import multi_means, spd_core
@@ -36,13 +36,28 @@ def uniform_start(mats):
 # Types
 # ---------------------------------------------------------------------------
 
-def test_matrix_tuple_validation(rng):
+_EYE2 = SpdMatrix(np.eye(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda Ps: karcher_residual(_EYE2, Ps),
+    lambda Ps: karcher_refine(_EYE2, Ps),
+    holbrook_inductive_mean,
+    riemannian_circumcenter,
+    bacak_median,
+    lambda Ps: recursive_geometric_mean(Ps, RecursiveMeanParams((0.5,))),
+    lambda Ps: spd_variance(Ps, _EYE2),
+], ids=["karcher_residual", "karcher_refine", "holbrook", "circumcenter", "median",
+        "recursive", "variance"])
+def test_n_matrix_entry_points_validate_their_input(call):
+    # each validates its matrices once, before stacking them, so numpy never
+    # sees an empty or ragged stack
     with pytest.raises(DomainError):
-        MatrixTuple(())
+        call([])
     with pytest.raises(ShapeError):
-        MatrixTuple((random_spd(rng, 2), random_spd(rng, 3)))
-    mt = MatrixTuple((random_spd(rng, 3), random_spd(rng, 3)))
-    assert len(mt) == 2 and mt.dimension == 3
+        call([_EYE2, SpdMatrix(np.eye(3))])
+    with pytest.raises(ShapeError):
+        call(iter([SpdMatrix(np.eye(3)), _EYE2]))
 
 
 def test_recursive_params_builtins():
@@ -144,10 +159,10 @@ def test_karcher_refine_keeps_unit_steps_on_concentrated_sets(rng):
     # every residual at least halves, so every step is the unit step: the
     # iterates are the plain fixed-point iteration's, bit for bit
     mats = [random_spd(rng, 4, 0.5) for _ in range(5)]
-    weights, stacks = WeightVector.uniform(5).values, spd_core._stacks(mats)
+    weights, stack = WeightVector.uniform(5).values, spd_core._stack(mats)
     G, errors = uniform_start(mats), []
     while True:
-        tangent = multi_means._weighted_log_sum(spd_core._Frame(G), stacks, weights)
+        tangent = multi_means._weighted_log_sum(spd_core._Frame(G), stack, weights)
         errors.append(float(np.linalg.norm(tangent)))
         if errors[-1] <= 1e-12:
             break

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from spdmeans import (
     ShapeError,
     SpdMatrix,
     WeightVector,
+    bacak_median,
     geodesic,
     holbrook_inductive_mean,
     inductive_expectation,
+    karcher_refine,
     log_euclidean_mean,
     loewner_leq,
     matrix_function,
@@ -29,8 +32,9 @@ from spdmeans import (
     weighted_arithmetic,
     weighted_harmonic,
 )
+from spdmeans import spd_core
 from spdmeans.multi_means import _weighted_log_sum
-from spdmeans.spd_core import _Frame, _spectral, _stacks, _symmetrize
+from spdmeans.spd_core import _Frame, _spectral, _stack, _symmetrize
 from tests.conftest import random_invertible, random_spd
 
 
@@ -137,7 +141,13 @@ def test_weight_vector_validation():
     lambda v: SampleConfig(seed=0, scale=v, count=4, center=SpdMatrix(np.eye(2))),
     lambda v: Lognormal(mu=0.0, sigma=v),
     lambda v: Lognormal(mu=v, sigma=0.5),
-], ids=["weights", "power_mean", "sample_scale", "lognormal_sigma", "lognormal_mu"])
+    lambda v: bacak_median([SpdMatrix(np.eye(2)), SpdMatrix(2 * np.eye(2))],
+                           lambda_schedule=lambda k: v, sweeps=1),
+    lambda v: bacak_median([SpdMatrix(np.eye(2)), SpdMatrix(2 * np.eye(2))],
+                           lambda_schedule=[v], sweeps=1),
+    lambda v: loewner_leq(SpdMatrix(np.eye(2)), SpdMatrix(np.eye(2)), tolerance=v),
+], ids=["weights", "power_mean", "sample_scale", "lognormal_sigma", "lognormal_mu",
+        "median_schedule", "median_schedule_sequence", "loewner_tolerance"])
 def test_non_finite_parameters_are_domain_errors(build, bad):
     # NaN passes every ordering check, so each constructor tests finiteness itself
     with pytest.raises(DomainError, match="finite"):
@@ -220,19 +230,18 @@ def test_distance_against_generalized_eig_oracle(rng):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), n=st.integers(1, 12),
-       spread=st.floats(0.0, 3.0), sections=st.integers(1, 12))
-def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, sections):
-    # a stack, whole or in slices, goes through the arithmetic of each matrix alone
+       spread=st.floats(0.0, 3.0), per_slice=st.integers(1, 12))
+def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, per_slice):
+    # a stack, whole or in slices of any size, goes through the arithmetic of
+    # each matrix alone
     rng = np.random.default_rng(seed)
     x = random_spd(rng, d, spread)
     ys = [random_spd(rng, d, spread) for _ in range(n)]
-    stack = np.stack([y.array for y in ys])
-    slices = np.array_split(stack, min(sections, n))
+    stack = _stack(ys)
     frame = _Frame(x)
     one_at_a_time = [float(frame.distances(y.array)) for y in ys]
     assert frame.distances(stack).tolist() == one_at_a_time
-    assert frame.fan_out(slices).tolist() == one_at_a_time
-    assert frame.fan_out(_stacks(ys)).tolist() == one_at_a_time
+    assert frame.fan_out(stack).tolist() == one_at_a_time
     assert one_at_a_time == [riemannian_distance(x, y) for y in ys]
     tangents = _symmetrize(rng.normal(size=(n, d, d)))
     for s, m in zip(tangents, frame.lift(_spectral(tangents, np.exp))):
@@ -241,11 +250,14 @@ def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, sections):
     expected = np.zeros((d, d))
     for w, y in zip(weights, ys):
         expected = expected + w * _spectral(frame.whiten(y.array), np.log)
-    np.testing.assert_array_equal(_weighted_log_sum(frame, slices, weights), expected)
-    # the condition numbers it can hand back come from the same spectra; a
-    # second eigensolver agrees on c = lambda_max / lambda_min to about c eps
-    conditions = []
-    np.testing.assert_array_equal(_weighted_log_sum(frame, slices, weights, conditions), expected)
+    with mock.patch.object(spd_core, "_SLICE_BYTES", per_slice * stack[0].nbytes):
+        assert frame.fan_out(stack).tolist() == one_at_a_time
+        np.testing.assert_array_equal(_weighted_log_sum(frame, stack, weights), expected)
+        # the condition numbers it can hand back come from the same spectra; a
+        # second eigensolver agrees on c = lambda_max / lambda_min to about c eps
+        conditions = []
+        np.testing.assert_array_equal(_weighted_log_sum(frame, stack, weights, conditions),
+                                      expected)
     lam = np.linalg.eigvalsh(frame.whiten(stack))
     c = lam[:, -1] / lam[:, 0]
     np.testing.assert_allclose(np.concatenate(conditions), c, rtol=64 * np.finfo(float).eps * c.max())
@@ -273,6 +285,8 @@ def test_distance_shape_mismatch():
     for p in (0.5, 1e-9):  # the power branch and the log-Euclidean limit branch
         with pytest.raises(ShapeError):
             q_power_mean(a, b, p)
+    with pytest.raises(ShapeError):
+        karcher_refine(a, [a, a, a], WeightVector.uniform(2))
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +350,14 @@ def test_walk_steps_match_chained_geodesics(seed, d, spread, ts):
     walk, expected = _Frame(x), x
     # before its first step the walk's frame is the base's own: the same bits
     assert walk.base() is x
-    assert walk.fan_out([stack]).tolist() == [riemannian_distance(x, y) for y in ys]
+    assert walk.fan_out(stack).tolist() == [riemannian_distance(x, y) for y in ys]
     for y, t in zip(ys, ts):
         walk.step(y.array, t)
         expected = geodesic(expected, y, t)
         assert _relative_gap(walk.base(), expected) <= 1e-12
         # an absolute floor: a step with t near 1 can land next to a target,
         # where a relative error of a near-zero distance measures nothing
-        np.testing.assert_allclose(walk.fan_out([stack]),
+        np.testing.assert_allclose(walk.fan_out(stack),
                                    [riemannian_distance(walk.base(), y) for y in ys],
                                    rtol=1e-12, atol=1e-13)
 
@@ -428,6 +442,10 @@ def test_loewner_examples():
     assert loewner_leq(p, p)
     assert loewner_leq(eye, SpdMatrix(2 * np.eye(2)))
     assert not loewner_leq(SpdMatrix(np.diag([1.0, 3.0])), SpdMatrix(np.diag([2.0, 2.0])))
+    # a negative slack would demand Q - P >= |tolerance| scale > 0
+    assert loewner_leq(p, p, tolerance=0.0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        loewner_leq(p, p, tolerance=-1e-12)
 
 
 def test_s_divergence_examples(rng):
