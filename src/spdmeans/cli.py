@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -417,8 +418,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.max_iterations = _env(ENV_MAX_ITERS, int)
         if args.seed is None:
             args.seed = _env(ENV_SEED, int) or 0
-        if args.tolerance is not None and not args.tolerance > 0:
-            raise CliUsageError("tolerance must be positive")
+        if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise CliUsageError("tolerance must be finite and positive")
         if args.max_iterations is not None and args.max_iterations < 1:
             raise CliUsageError("max-iterations must be at least 1")
         return args.handler(args)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -94,8 +95,8 @@ class TraceRecorder:
     def __init__(self, tol: float | None = None, max_steps: int | None = None,
                  name: str = "iteration", unit: str = "iterations",
                  order_floor: float = NOISE_FLOOR_FACTOR):
-        if tol is not None and not tol > 0:
-            raise DomainError("tolerance must be positive")
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
         self.tol = tol
         self.max_steps = max_steps
         self.name = name

@@ -18,8 +18,9 @@ recursion level therefore runs a (k, n, d, d) stack of k tuples in
 lockstep through a stacked ``_Frame``, and recurses once per round on the
 (k n, n - 1, d, d) stack of their leave-one-out sub-tuples, whose frames
 are gathered from the parents'.  Each tuple keeps its own trace recorder,
-stopping and stall rules, so the means, traces and errors are those of
-the depth-first recursion.
+stopping and stall rules, so the means and traces are those of the
+depth-first recursion.  A tuple that fails at any level fails the whole
+mean, so the first failure the lockstep order meets is raised at once.
 """
 
 from __future__ import annotations
@@ -293,9 +294,6 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
 #: only below this spread; above it, stagnation raises NonConvergenceError.
 _STAGNATION_SPREAD_BOUND = 1e-6
 
-#: The first tuple of a batch that failed, by index, with its error.
-_Failure = tuple[int, NonConvergenceError] | None
-
 
 def _level_recorder(tol: float, max_rounds: int, name: str) -> TraceRecorder:
     return TraceRecorder(tol, max_rounds, name, unit="rounds", order_floor=MATRIX_ORDER_FLOOR)
@@ -320,7 +318,7 @@ def _spreads(mats: np.ndarray, frames: _Frame) -> np.ndarray:
 
 def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
                     recorders: list[TraceRecorder],
-                    accept_stagnation: bool = False) -> tuple[np.ndarray, int, _Failure]:
+                    accept_stagnation: bool = False) -> tuple[np.ndarray, int]:
     """Limits of one recursion level for k tuples in lockstep.
 
     ``mats`` is a (k, n, d, d) stack of n-tuples with their ``frames`` and
@@ -328,46 +326,39 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
     makes one inner call per chunk of leave-one-out sub-tuples
     (``_partners``), one stacked geodesic step, one eigh for the new
     frames and one eigvalsh for the spreads.  Returns the (k, d, d)
-    limits, the rounds the finished tuples completed, and the first
-    failure.  The tuples are independent, so the result is what running
-    them one after another gives, errors included: the tuples after a
-    failed one are dropped, the ones before it go on, and the lowest
-    failed index is reported; the limits below it are valid.
+    limits and the rounds the tuples completed.  A tuple that exhausts
+    its budget or stagnates, here or in a level below, fails the mean it
+    belongs to: its NonConvergenceError propagates as soon as it is met.
     """
     k, n = mats.shape[:2]
     limits = np.empty((k,) + mats.shape[2:])
     live = np.arange(k)  # the tuple index of each row still iterating
     stalls = np.zeros(k, dtype=int)
     previous, spread = np.full(k, math.inf), _spreads(mats, frames)
-    finished_rounds, failure = 0, None
+    finished_rounds = 0
     for rounds in count():
         keep = []
         for row, index in enumerate(live):
             recorder = recorders[index]
-            try:
-                going = recorder.record(rounds, None, spread[row])
-            except NonConvergenceError as exc:
-                failure = (index, exc)
-                break
+            going = recorder.record(rounds, None, spread[row])
             if going:
                 # Roundoff floors the spread before very tight tolerances are
                 # met; detect the stall instead of burning the round budget.
                 stalls[row] = stalls[row] + 1 if spread[row] >= 0.99 * previous[row] else 0
                 going = stalls[row] < 2
                 if not going and not (accept_stagnation and spread[row] < _STAGNATION_SPREAD_BOUND):
-                    failure = (index, NonConvergenceError(
+                    raise NonConvergenceError(
                         f"{recorder.name} stagnated at spread {spread[row]:.3e} "
                         f"above tolerance {recorder.tol}",
                         trace=recorder.build(),
-                    ))
-                    break
+                    )
             if going:
                 keep.append(row)
             else:
                 limits[index] = mats[row, 0]
                 finished_rounds += rounds
         if not keep:
-            return limits, finished_rounds, failure
+            return limits, finished_rounds
         if len(keep) < len(live):
             live, mats, frames = live[keep], mats[keep], frames[keep]
             stalls, spread = stalls[keep], spread[keep]
@@ -375,24 +366,16 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
             partners = mats[:, ::-1]
         else:
             level = recorders[0]
-            partners, inner_failure = _partners(mats, frames, s_tuple[1:], level.tol, level.max_steps)
-            if inner_failure is not None:
-                cut = inner_failure[0] // n
-                failure = (live[cut], inner_failure[1])
-                if cut == 0:
-                    return limits, finished_rounds, failure
-                live, mats, frames = live[:cut], mats[:cut], frames[:cut]
-                stalls, spread, partners = stalls[:cut], spread[:cut], partners[:cut]
+            partners = _partners(mats, frames, s_tuple[1:], level.tol, level.max_steps)
         mats = frames.power_sandwich(partners, s_tuple[0])
         frames = _Frame(mats)
         previous, spread = spread, _spreads(mats, frames)
 
 
 def _partners(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
-              tol: float, max_rounds: int) -> tuple[np.ndarray, _Failure]:
+              tol: float, max_rounds: int) -> np.ndarray:
     """The n leave-one-out means of each of k n-tuples, as a (k, n, d, d)
-    stack, with the first failure by sub-tuple index (sub-tuple i n + j
-    leaves out P_j of tuple i).
+    stack (sub-tuple i n + j leaves out P_j of tuple i).
 
     The k n sub-tuples take their frames from the parents' and run in
     consecutive chunks of at most ``_SLICE_BYTES`` of matrices, which
@@ -412,12 +395,10 @@ def _partners(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
     for chunk in _slices(subs):
         stop = start + len(chunk)
         recorders = [_level_recorder(inner_tol, max_rounds, name) for _ in chunk]
-        partners[start:stop], _, failure = _recursive_mean(
+        partners[start:stop], _ = _recursive_mean(
             chunk, sub_frames[start:stop], s_tuple, recorders, accept_stagnation=True)
-        if failure is not None:
-            return partners.reshape(mats.shape), (start + failure[0], failure[1])
         start = stop
-    return partners.reshape(mats.shape), None
+    return partners.reshape(mats.shape)
 
 
 def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
@@ -441,7 +422,5 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
             f"parameter tuple has {len(params.s_tuple)} entries, need {n - 1}"
         )
     recorder = _level_recorder(tol, max_rounds, "recursive geometric mean")
-    limits, _, failure = _recursive_mean(mats, _Frame(mats), params.s_tuple, [recorder])
-    if failure is not None:
-        raise failure[1]
+    limits, _ = _recursive_mean(mats, _Frame(mats), params.s_tuple, [recorder])
     return SpdMatrix._frozen(limits[0]), recorder.build()

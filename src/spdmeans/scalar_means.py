@@ -10,7 +10,7 @@ pair collapses to the geometric mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,15 +103,7 @@ def power_generator(p: float) -> QuasiArithmeticGenerator:
     yields the scalar power mean M_p.
     """
     if p == 0.0:
-        gen = log_generator()
-        return QuasiArithmeticGenerator(
-            forward=gen.forward,
-            inverse=gen.inverse,
-            derivative=gen.derivative,
-            domain=gen.domain,
-            label="power[p=0] (log)",
-            power=0.0,
-        )
+        return replace(log_generator(), label="power[p=0] (log)")
     # the 1/p normalization keeps f_p strictly increasing for every p
     return QuasiArithmeticGenerator(
         forward=lambda u: (np.power(u, p) - 1.0) / p,
@@ -316,8 +308,8 @@ class DoubleSequenceSpec:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
         for name, mean in (("mean_one", self.mean_one), ("mean_two", self.mean_two)):
@@ -413,8 +405,10 @@ class ComplexPolar:
     argument: float
 
     def __post_init__(self):
-        if not self.modulus > 0:
-            raise DomainError(f"modulus must be positive, got {self.modulus!r}")
+        if not (math.isfinite(self.modulus) and self.modulus > 0):
+            raise DomainError(f"modulus must be finite and positive, got {self.modulus!r}")
+        if not math.isfinite(self.argument):
+            raise DomainError(f"argument must be finite, got {self.argument!r}")
         object.__setattr__(self, "argument", _principal_argument(self.argument))
 
     @classmethod

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,15 @@ def test_fixed_budget_walk_never_claims_convergence(name):
 @pytest.mark.parametrize("tol", [0.0, -1e-3])
 def test_nonpositive_tolerance_rejected(name, tol):
     with pytest.raises(DomainError):
+        TOLERANCE_LOOPS[name](tol, 10)
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCE_LOOPS))
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_non_finite_tolerance_rejected(name, tol):
+    # An infinite tolerance would stop every loop at its first step and
+    # claim convergence that was never checked.
+    with pytest.raises(DomainError, match="finite"):
         TOLERANCE_LOOPS[name](tol, 10)
 
 

@@ -222,6 +222,18 @@ def test_non_finite_parameters_exit_code(capsys):
     assert "finite" in captured.err
 
 
+def test_infinite_tolerance_exit_code(tmp_path, capsys, monkeypatch):
+    # An infinite tolerance is met by any start, so no convergence is checked.
+    path = write_set(tmp_path, {"d": 1, "matrices": [[1], [4], [16]]})
+    assert main(["multi", "--kind", "karcher", "--tolerance", "inf", "--inputs", path]) == 1
+    assert main(["scalar", "--kind", "agm", "--tolerance", "inf", "--x", "1", "--y", "100"]) == 1
+    monkeypatch.setenv("SPDMEANS_TOL", "inf")
+    assert main(["scalar", "--kind", "agm", "--x", "1", "--y", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("tolerance must be finite and positive") == 3
+
+
 @pytest.mark.parametrize("kind", ["arithmetic", "geometric", "harmonic", "power:0.5", "agm", "ahm"])
 def test_scalar_infinite_input_exit_code(kind, capsys):
     assert main(["scalar", "--kind", kind, "--x", "inf", "--y", "2"]) == 1

@@ -14,13 +14,16 @@ tuples at once through a stacked ``_Frame`` (one eigh per level and
 round), not through the two-eigh ``geodesic`` or ``riemannian_distance``.
 Matrices become an ``(n, d, d)`` stack in one place, ``spd_core._stack``,
 which validates them first: the n-matrix entry points call it once and
-hand its array to the kernels.
+hand its array to the kernels.  A NonConvergenceError propagates from
+where it is raised to the CLI, the only module that catches it.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from spdmeans.errors import NonConvergenceError
 
 EIGENSOLVERS = {"eigh", "eigvalsh"}
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdmeans"
@@ -110,6 +113,29 @@ def test_trace_contract_only_in_convergence():
     raises = [ref for _, refs in found.values() for ref in refs]
     assert converged == [], f"converged= passed outside convergence: {converged}"
     assert raises == NON_BUDGET_RAISES, f"NonConvergenceError built outside convergence: {raises}"
+
+
+#: The names an except clause can catch a NonConvergenceError by.
+CATCHES_NONCONVERGENCE = {cls.__name__ for cls in NonConvergenceError.__mro__} - {"object"}
+
+
+def _nonconvergence_handlers(path: Path) -> list[str]:
+    """``<file>:<line>`` of every except clause that is bare or names
+    NonConvergenceError or one of its base classes."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and (node.type is None or any(
+                getattr(name, "id", getattr(name, "attr", None)) in CATCHES_NONCONVERGENCE
+                for name in ast.walk(node.type))):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_nonconvergence_propagates_to_the_cli():
+    found = {path.name: _nonconvergence_handlers(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("cli.py"), "the scan finds no NonConvergenceError handler even in cli"
+    offenders = [ref for refs in found.values() for ref in refs]
+    assert offenders == [], f"NonConvergenceError caught outside cli: {offenders}"
 
 
 #: The walks that carry a factor of their iterate, and the lockstep

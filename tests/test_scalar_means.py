@@ -358,6 +358,14 @@ def test_complex_polar_validation():
     assert z.argument == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("modulus, argument", [
+    (math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan),
+])
+def test_complex_polar_rejects_non_finite(modulus, argument):
+    with pytest.raises(DomainError, match="finite"):
+        ComplexPolar(modulus, argument)
+
+
 def test_complex_ahm_examples():
     z = complex_ahm(ComplexPolar(1, 0), ComplexPolar(1, 0))
     assert (z.modulus, z.argument) == (pytest.approx(1.0), pytest.approx(0.0))
