@@ -51,7 +51,7 @@ REGISTRY: dict[str, tuple[tuple[str, ...], str]] = {
     "lem": (("pair",), "log-Euclidean mean exp((log X + log Y)/2)"),
     "qpower:p": (("pair",), "quasi-arithmetic matrix power mean Q_p"),
     "limpalfia:p": (("pair",), "fixed-point matrix power mean M_p, p in (0, 1]"),
-    "karcher": (("multi",), "Karcher mean by fixed-point refinement (Bini-Iannazzo step when slow)"),
+    "karcher": (("multi",), "Karcher mean by Riemannian Newton refinement (Bini-Iannazzo step when slow)"),
     "holbrook": (("multi",), "cyclic inductive approximation of the Karcher mean"),
     "circumcenter": (("multi",), "minimax center by farthest-point steps"),
     "median": (("multi",), "Riemannian median by the cyclic proximal scheme"),

@@ -100,8 +100,10 @@ def power_generator(p: float) -> QuasiArithmeticGenerator:
 
     f_p(u) = (u^p - 1)/p with inverse (1 + u p)^{1/p} for p != 0; the
     p = 0 member is the logarithmic branch.  Mixing f_p into a mean
-    yields the scalar power mean M_p.
+    yields the scalar power mean M_p.  A non-finite p raises DomainError.
     """
+    if not math.isfinite(p):
+        raise DomainError(f"power must be finite, got {p!r}")
     if p == 0.0:
         return replace(log_generator(), label="power[p=0] (log)")
     # the 1/p normalization keeps f_p strictly increasing for every p

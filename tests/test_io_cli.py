@@ -215,11 +215,12 @@ def test_scalar_invalid_input_exit_code(capsys):
 
 def test_non_finite_parameters_exit_code(capsys):
     assert main(["scalar", "--kind", "power:nan", "--x", "2", "--y", "3"]) == 1
-    assert main(["sample", "--experiment", "clt", "--count", "20", "--trials", "3",
-                 "--sigma", "nan", "--output", "json"]) == 1
+    for flag, value in (("--sigma", "nan"), ("--power", "nan"), ("--power", "inf")):
+        assert main(["sample", "--experiment", "clt", "--count", "20", "--trials", "3",
+                     flag, value, "--output", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "finite" in captured.err
+    assert captured.err.count("finite") == 4
 
 
 def test_infinite_tolerance_exit_code(tmp_path, capsys, monkeypatch):

@@ -155,21 +155,69 @@ def test_karcher_mean_monotone(rng):
         assert loewner_leq(gs, g)
 
 
-def test_karcher_refine_keeps_unit_steps_on_concentrated_sets(rng):
-    # every residual at least halves, so every step is the unit step: the
-    # iterates are the plain fixed-point iteration's, bit for bit
+def test_karcher_refine_outpaces_unit_steps_on_concentrated_sets(rng):
+    # the plain fixed-point iteration, whose unit step the Newton step
+    # replaces, is the reference: same tolerance, no more iterations, and
+    # the same mean
     mats = [random_spd(rng, 4, 0.5) for _ in range(5)]
     weights, stack = WeightVector.uniform(5).values, spd_core._stack(mats)
     G, errors = uniform_start(mats), []
     while True:
-        tangent = multi_means._weighted_log_sum(spd_core._Frame(G), stack, weights)
+        tangent, _ = multi_means._weighted_log_sum(spd_core._Frame(G), stack, weights)
         errors.append(float(np.linalg.norm(tangent)))
         if errors[-1] <= 1e-12:
             break
         G = exp_at(G, tangent)
     out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-12)
-    assert trace.errors == errors
-    np.testing.assert_array_equal(out.array, G.array)
+    assert trace.converged and trace.final_error <= 1e-12
+    assert len(trace.errors) <= len(errors)
+    assert riemannian_distance(out, G) <= 1e-10
+
+
+def _hessian_at(G, mats, weights):
+    frame = spd_core._Frame(G)
+    tangent, spectra = multi_means._weighted_log_sum(frame, spd_core._stack(mats), weights)
+    return frame, tangent, multi_means._hessian_kernels(weights, spectra)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_karcher_hessian_matches_second_difference(rng, d):
+    # <Z, H[Z]> is the second derivative of f = (1/2) sum_i w_i rho^2(., P_i)
+    # along the geodesic G^{1/2} exp(t Z) G^{1/2}
+    for _ in range(3):
+        mats = [random_spd(rng, d, 1.5) for _ in range(4)]
+        weights = rng.uniform(0.1, 1.0, size=4)
+        weights /= weights.sum()
+        G = random_spd(rng, d, 1.0)
+        frame, _, kernels = _hessian_at(G, mats, weights)
+        Z = spd_core._symmetrize(rng.normal(size=(d, d)))
+        Z /= np.linalg.norm(Z)
+
+        def f(t):
+            X = SpdMatrix._trusted(frame.lift(spd_core._spectral(t * Z, np.exp)))
+            return 0.5 * sum(w * riemannian_distance(X, P) ** 2 for w, P in zip(weights, mats))
+
+        h = 1e-3
+        second = (f(h) - 2.0 * f(0.0) + f(-h)) / h ** 2
+        assert float(np.vdot(Z, multi_means._hessian(kernels, Z))) == pytest.approx(second, rel=1e-5)
+
+
+def test_karcher_hessian_is_identity_on_diagonals(rng):
+    # diagonal inputs at a diagonal base: every K_i is 1 on the diagonal
+    mats = [SpdMatrix(np.diag(np.exp(rng.uniform(-2, 2, size=5)))) for _ in range(4)]
+    weights = WeightVector.uniform(4).values
+    _, _, kernels = _hessian_at(uniform_start(mats), mats, weights)
+    Z = np.diag(rng.normal(size=5))
+    np.testing.assert_allclose(multi_means._hessian(kernels, Z), Z, rtol=1e-14, atol=1e-15)
+
+
+def test_karcher_newton_step_is_never_longer_than_unit_step(rng):
+    for d, spread in ((2, 0.5), (4, 2.0), (8, 4.0)):
+        mats = [random_spd(rng, d, spread) for _ in range(5)]
+        weights = WeightVector.uniform(5).values
+        _, tangent, kernels = _hessian_at(random_spd(rng, d, spread), mats, weights)
+        step = multi_means._newton_step(tangent, kernels)
+        assert np.linalg.norm(step) <= np.linalg.norm(tangent)
 
 
 def test_karcher_step_size_limits():
@@ -186,12 +234,13 @@ def test_karcher_step_size_limits():
 
 def test_karcher_refine_converges_on_spread_sets(rng):
     # d = 8, log-eigenvalues uniform in [-4, 4]: the unit step alone exceeds
-    # the 500-iteration cap on these sets
-    for _ in range(3):
-        mats = [random_spd(rng, 8, 4.0) for _ in range(3)]
+    # the 500-iteration cap on these sets; d = 16, s = 5 took the
+    # Bini-Iannazzo step alone up to 155 iterations
+    for d, spread, n, bound in [(8, 4.0, 3, 15)] * 3 + [(16, 5.0, 3, 20), (16, 5.0, 10, 20)]:
+        mats = [random_spd(rng, d, spread) for _ in range(n)]
         out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-12)
         assert trace.converged
-        assert trace.iterations_used <= 100
+        assert trace.iterations_used <= bound
         assert karcher_residual(out, mats) <= 1e-12
 
 
@@ -203,7 +252,7 @@ def test_karcher_refine_converges_property(d, spread, n, seed):
     mats = [random_spd(rng, d, spread) for _ in range(n)]
     out, trace = karcher_refine(uniform_start(mats), mats, tol=1e-10)
     assert trace.converged
-    assert trace.iterations_used < multi_means.KARCHER_REFINE_MAX_ITERATIONS
+    assert trace.iterations_used <= 15
     residual = karcher_residual(out, mats)
     assert residual <= 1e-10
     assert trace.final_error == pytest.approx(residual, abs=1e-12)

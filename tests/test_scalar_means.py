@@ -144,6 +144,12 @@ def test_builtin_generators_pass_invariant_checks():
         check_generator(gen)
 
 
+def test_power_generator_rejects_non_finite_power():
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="power must be finite"):
+            power_generator(p)
+
+
 def test_generator_roundtrip_precision(rng):
     gen = power_generator(0.7)
     for u in np.exp(rng.uniform(-3, 3, size=50)):

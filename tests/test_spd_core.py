@@ -33,7 +33,7 @@ from spdmeans import (
     weighted_harmonic,
 )
 from spdmeans import spd_core
-from spdmeans.multi_means import _weighted_log_sum
+from spdmeans.multi_means import _conditions, _weighted_log_sum
 from spdmeans.spd_core import _Frame, _spectral, _stack, _symmetrize
 from tests.conftest import random_invertible, random_spd
 
@@ -252,15 +252,15 @@ def test_fan_out_kernels_match_one_at_a_time(seed, d, n, spread, per_slice):
         expected = expected + w * _spectral(frame.whiten(y.array), np.log)
     with mock.patch.object(spd_core, "_SLICE_BYTES", per_slice * stack[0].nbytes):
         assert frame.fan_out(stack).tolist() == one_at_a_time
-        np.testing.assert_array_equal(_weighted_log_sum(frame, stack, weights), expected)
-        # the condition numbers it can hand back come from the same spectra; a
-        # second eigensolver agrees on c = lambda_max / lambda_min to about c eps
-        conditions = []
-        np.testing.assert_array_equal(_weighted_log_sum(frame, stack, weights, conditions),
-                                      expected)
+        log_sum, spectra = _weighted_log_sum(frame, stack, weights)
+        np.testing.assert_array_equal(log_sum, expected)
+    # the Karcher step size reads the condition numbers off the spectra the
+    # log-sum hands back; a second eigensolver agrees on
+    # c = lambda_max / lambda_min to about c eps
     lam = np.linalg.eigvalsh(frame.whiten(stack))
     c = lam[:, -1] / lam[:, 0]
-    np.testing.assert_allclose(np.concatenate(conditions), c, rtol=64 * np.finfo(float).eps * c.max())
+    np.testing.assert_allclose(np.concatenate(_conditions(spectra)), c,
+                               rtol=64 * np.finfo(float).eps * c.max())
 
 
 def test_distance_congruence_invariance(rng):
