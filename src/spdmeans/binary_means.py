@@ -2,6 +2,8 @@
 
 The inductive arithmetic-harmonic iteration converges quadratically to the
 Riemannian geometric mean, whose closed form doubles as the oracle for it.
+It runs on plain arrays through the Cholesky frame of its arithmetic
+iterate: one Cholesky, one triangular inverse and one eigvalsh per step.
 Alongside: the log-Euclidean mean, the quasi-arithmetic power family Q_p,
 and the fixed-point power mean M_p with its closed form and a Picard
 solver cross-validating it.
@@ -21,14 +23,15 @@ from .spd_core import (
     SpdMatrix,
     WeightVector,
     _check_same_dimension,
+    _Frame,
     _power_sandwich,
     _spectral,
+    _symmetrize,
     _weighted_sum,
     geodesic,
     matrix_function,
     riemannian_distance,
     weighted_arithmetic,
-    weighted_harmonic,
 )
 
 AHM_DEFAULT_TOLERANCE = 1e-12
@@ -45,15 +48,22 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
     A_{t+1} = (A_t + H_t)/2, H_{t+1} = 2 (A_t^{-1} + H_t^{-1})^{-1},
     started at (X, Y); stops when the Riemannian gap rho(A_t, H_t)
     reaches ``tol``.  The common limit is the geometric mean G(X, Y).
+
+    Each iteration builds the Cholesky frame of A_{t+1}, which gives both
+    the harmonic step H_{t+1} = A_t A_{t+1}^{-1} H_t (equal to the formula
+    above) and the gap, from one eigvalsh of the whitened H_{t+1}.
     """
+    _check_same_dimension(X, Y)
     recorder = TraceRecorder(tol, max_iter, "matrix AHM", order_floor=MATRIX_ORDER_FLOOR)
-    half = WeightVector.uniform(2)
-    A, H = X, Y
+    A, H = X.array, Y.array
+    frame = _Frame.cholesky(A)
     t = 0
-    while recorder.record(t, None, riemannian_distance(A, H)):
-        A, H = weighted_arithmetic([A, H], half), weighted_harmonic([A, H], half)
+    while recorder.record(t, None, frame.distances(H)):
+        A_next = _symmetrize(0.5 * A + 0.5 * H)
+        frame = _Frame.cholesky(A_next)
+        A, H = A_next, _symmetrize(frame.inverse_sandwich(A, H))
         t += 1
-    limit = SpdMatrix._trusted(0.5 * (A.array + H.array))
+    limit = SpdMatrix._trusted(0.5 * (A + H))
     return limit, recorder.build()
 
 

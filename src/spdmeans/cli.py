@@ -293,6 +293,8 @@ def _run_bench(args: argparse.Namespace) -> int:
     if base not in ("agm", "ahm", "bmp", "alm"):
         raise CliUsageError(
             f"command 'bench' supports kinds agm, ahm, bmp, alm; got {args.kind!r}")
+    if args.trials < 1:
+        raise CliUsageError(f"trials must be at least 1, got {args.trials}")
     dimension = args.dimension
     if base in ("bmp", "alm") and dimension < 2:
         dimension = 3

@@ -19,7 +19,7 @@ import numpy as np
 
 from .convergence import ConvergenceTrace
 from .errors import DefinitenessError, MatrixSetError, ShapeError
-from .spd_core import SpdMatrix
+from .spd_core import SpdMatrix, _stack
 
 #: Relative asymmetry beyond which an input matrix is rejected instead of
 #: silently symmetrized.
@@ -85,15 +85,13 @@ def parse_matrix_set(path: str | Path) -> tuple[SpdMatrix, ...]:
 
 
 def serialize_matrix_set(matrices: Sequence[SpdMatrix]) -> str:
-    """Matrix-set JSON text with round-trip-exact floats."""
+    """Matrix-set JSON text with round-trip-exact floats; raises ShapeError
+    if the matrices do not share one dimension."""
     mats = list(matrices)
     if not mats:
         raise MatrixSetError("cannot serialize an empty matrix set")
-    d = mats[0].dimension
-    doc = {
-        "d": d,
-        "matrices": [[float(v) for v in m.array.reshape(-1)] for m in mats],
-    }
+    stack = _stack(mats)
+    doc = {"d": stack.shape[-1], "matrices": stack.reshape(len(mats), -1).tolist()}
     return json.dumps(doc)
 
 

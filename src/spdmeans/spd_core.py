@@ -1,15 +1,19 @@
 """Validated SPD matrices, the spectral kernel layer, and the trace-metric geometry.
 
-This is the only module that computes an eigendecomposition.  Its private
-kernels take one ``(d, d)`` array or an ``(n, d, d)`` stack, written once
-with ``[..., None, :]`` broadcasting and ``.mT``, so a stack costs one
-``eigh``/``eigvalsh`` call for all of its matrices and a single pair goes
-through the same code: ``_assemble`` (U f(lambda) U^T) and ``_spectral``
-(the same from a cached or fresh decomposition).  Everything relative to
+This is the only module that computes an eigendecomposition or inverts a
+matrix.  Its private kernels take one ``(d, d)`` array or an
+``(n, d, d)`` stack, written once with ``[..., None, :]`` broadcasting
+and ``.mT``, so a stack costs one ``eigh``/``eigvalsh`` call for all of
+its matrices and a single pair goes through the same code: ``_assemble``
+(U f(lambda) U^T) and ``_spectral`` (the same from a cached or fresh
+decomposition).  Everything relative to
 a base X goes through one ``_Frame``: X = F F^T with G = F^{-1}, built
 once per base, whitening P to G P G^T for the distance rho(X, P) and the
 geodesic X #_t P = F (G P G^T)^t F^T, and lifting a tangent S to
-F exp(S) F^T for the exp map.  A walk of geodesic steps moves its frame
+F exp(S) F^T for the exp map.  F is the symmetric root X^{1/2}, or the
+Cholesky factor of X when no eigendecomposition of X is needed: the
+matrix AHM builds that frame once per iteration and reads its harmonic
+step A X^{-1} B off the same G.  A walk of geodesic steps moves its frame
 with one eigh per step.  A frame of a stack of bases, from one eigh,
 pairs each base with its own target: the recursive means step and
 measure all their tuples at once through it.  An entry point taking n
@@ -28,6 +32,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DefinitenessError, DomainError, NumericError, ShapeError
 
@@ -282,6 +287,12 @@ class _Frame:
     i-th matrix of a matching stack, and indexing it selects bases
     without decomposing them again.
 
+    ``_Frame.cholesky`` builds the frame of one ``(d, d)`` array from its
+    Cholesky factor instead, F = L and G = L^{-1} (LAPACK trtri): one
+    factorization and no eigensolver, the same distances and geodesics
+    up to roundoff, and ``inverse_sandwich`` reads A X^{-1} B off G.
+    The matrix AHM builds one per iteration.
+
     A walk of geodesic steps (the inductive, Holbrook, circumcenter and
     median iterations) moves the frame: with (mu, V) the whitened
     spectrum of P, ``advance`` sets F <- (F V) diag(mu^{t/2}), one eigh
@@ -303,6 +314,25 @@ class _Frame:
         self._F = self._Ft = _assemble(vecs, root)
         self._G = self._Gt = _assemble(vecs, root, divide=True)
         self._base = base if is_matrix else None
+
+    @classmethod
+    def cholesky(cls, base: np.ndarray) -> "_Frame":
+        """Frame of one (d, d) SPD array from its Cholesky factor L: F = L,
+        G = L^{-1}.  Raises NumericError if the array is not numerically
+        positive definite or not finite."""
+        try:
+            L = np.linalg.cholesky(base)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Cholesky factorization failed: {exc}") from exc
+        if not np.all(np.isfinite(L)):
+            raise NumericError("Cholesky factor is not finite")
+        G, info = dtrtri(L, lower=1)
+        if info != 0:
+            raise NumericError(f"triangular inverse failed (LAPACK info {info})")
+        out = object.__new__(cls)
+        out._F, out._Ft, out._G, out._Gt = L, L.T, G, G.T
+        out._base = None
+        return out
 
     def __getitem__(self, index) -> "_Frame":
         """The frames of the bases ``index`` selects from a stack frame."""
@@ -342,6 +372,11 @@ class _Frame:
     def distances(self, Ps: np.ndarray) -> np.ndarray:
         """rho(X, P) for a (d, d) P (a 0-d result) or each matrix of a stack."""
         return _rho(np.linalg.eigvalsh(self.whiten(Ps)))
+
+    def inverse_sandwich(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A X^{-1} B = (G A)^T (G B) for a symmetric (d, d) A and a (d, d) B;
+        not symmetrized."""
+        return (self._G @ A).T @ (self._G @ B)
 
     def fan_out(self, stack: np.ndarray) -> np.ndarray:
         """rho(X, P) for every matrix of an (n, d, d) stack, one eigvalsh per slice."""

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spdmeans import MatrixSetError, SpdMatrix
+from spdmeans import MatrixSetError, ShapeError, SpdMatrix
 from spdmeans.cli import build_parser, kinds_for_command, main, registry_listing
 from spdmeans.convergence import ConvergenceTrace, TraceStep
 from spdmeans.matrix_io import (
@@ -85,6 +85,14 @@ def test_roundtrip_is_exact(tmp_path, rng):
     back = parse_matrix_set(path)
     for original, loaded in zip(mats, back):
         np.testing.assert_array_equal(original.array, loaded.array)
+
+
+def test_write_rejects_mixed_dimensions_before_writing(tmp_path):
+    # one "d" cannot describe both matrices, so the reader would reject the file
+    path = tmp_path / "mixed.json"
+    with pytest.raises(ShapeError, match="matrix 1 has dimension 4, expected 3"):
+        write_matrix_set([SpdMatrix(np.eye(3)), SpdMatrix(np.eye(4))], path)
+    assert not path.exists()
 
 
 def test_serialize_uses_shortest_roundtrip_repr(rng):
@@ -363,6 +371,14 @@ def test_bench_matrix_ahm(capsys):
                  "--seed", "0", "--output", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert 1.7 <= doc["mean_order"] <= 2.3
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_rejects_trial_count_below_one(trials, capsys):
+    assert main(["bench", "--kind", "ahm", "--trials", trials, "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials must be at least 1" in captured.err
 
 
 def test_sample_lln_center_file_sets_dimension(tmp_path, capsys):

@@ -5,13 +5,14 @@ reaches spectral calculus through the kernels in ``spd_core``
 (``_spectral`` and the base-relative ``_Frame``, each taking a ``(d, d)``
 array or an ``(n, d, d)`` stack) or its public operations, so a change of
 eigensolver or batching touches one module.  Within spd_core the inverse
-root has one home: only ``_Frame`` inverts a matrix or assembles
-U diag(lambda)^{-1} U^T.  The trace contract lives in ``convergence``:
-only ``TraceRecorder`` decides ``converged`` and raises the budget-cap
-NonConvergenceError.  The four sequential walks step through a moving
-``_Frame`` (one eigh per step), and the recursive means step all their
-tuples at once through a stacked ``_Frame`` (one eigh per level and
-round), not through the two-eigh ``geodesic`` or ``riemannian_distance``.
+root has one home: only ``_Frame`` inverts a matrix, full or triangular,
+or assembles U diag(lambda)^{-1} U^T.  The trace contract lives in
+``convergence``: only ``TraceRecorder`` decides ``converged`` and raises
+the budget-cap NonConvergenceError.  The four sequential walks step
+through a moving ``_Frame`` (one eigh per step), and the recursive means
+step all their tuples at once through a stacked ``_Frame`` (one eigh per
+level and round), not through the two-eigh ``geodesic`` or
+``riemannian_distance``.
 Matrices become an ``(n, d, d)`` stack in one place, ``spd_core._stack``,
 which validates them first: the n-matrix entry points call it once and
 hand its array to the kernels.  A NonConvergenceError propagates from
@@ -55,17 +56,26 @@ def test_matrices_are_stacked_only_by_spd_core_stack():
     assert found == ["spd_core.py:_stack"], f"np.stack referenced outside spd_core._stack: {found}"
 
 
+#: scipy's triangular solves; LAPACK's triangular inverse ``?trtri`` is
+#: matched by its suffix.
+TRIANGULAR_INVERSES = {"solve_triangular", "cho_solve"}
+
+
 def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
-    """Lines of every ``np.linalg.inv`` call and ``_assemble(..., divide=True)``
-    call in the file, keyed by the enclosing top-level class or function."""
+    """Lines of every ``np.linalg.inv`` call, triangular inverse or solve
+    (``trtri``, ``solve_triangular``, ``cho_solve``) and
+    ``_assemble(..., divide=True)`` call in the file, keyed by the enclosing
+    top-level class or function."""
     found: dict[str, list[int]] = {}
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         for node in ast.walk(top):
             if not isinstance(node, ast.Call):
                 continue
             callee = node.func
-            inverts = (isinstance(callee, ast.Attribute) and callee.attr == "inv"
-                       and isinstance(callee.value, ast.Attribute) and callee.value.attr == "linalg")
+            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+            inverts = (name == "inv" and isinstance(getattr(callee, "value", None), ast.Attribute)
+                       and callee.value.attr == "linalg"
+                       or name.endswith("trtri") or name in TRIANGULAR_INVERSES)
             divides = getattr(callee, "id", None) == "_assemble" and (
                 len(node.args) > 2 or any(kw.arg == "divide" for kw in node.keywords))
             if inverts or divides:

@@ -11,6 +11,7 @@ from spdmeans import (
     DefinitenessError,
     DomainError,
     Lognormal,
+    NumericError,
     SampleConfig,
     ShapeError,
     SpdMatrix,
@@ -386,6 +387,41 @@ def test_walk_does_not_drift_over_long_runs():
     logdet = np.linalg.slogdet(mean.array)[1]
     expected_logdet = np.mean([np.linalg.slogdet(P.array)[1] for P in mats])
     assert abs(logdet - expected_logdet) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Cholesky frame
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 3, 8, 32])
+def test_cholesky_frame_matches_eigen_frame(rng, d):
+    # any factor F of X = F F^T whitens to the same distances and geodesics
+    x = random_spd(rng, d)
+    ys = _stack([random_spd(rng, d) for _ in range(4)])
+    eigen, chol = _Frame(x), _Frame.cholesky(x.array)
+    np.testing.assert_allclose(chol.distances(ys), eigen.distances(ys), rtol=1e-13)
+    for y in ys:
+        for t in (0.25, 0.5, 0.9):
+            expected = eigen.power_sandwich(y, t)
+            assert (np.linalg.norm(chol.power_sandwich(y, t) - expected)
+                    <= 1e-13 * np.linalg.norm(expected))
+    a, b = random_spd(rng, d).array, random_spd(rng, d).array
+    expected = a @ np.linalg.inv(x.array) @ b
+    assert np.linalg.norm(chol.inverse_sandwich(a, b) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, np.inf]],
+])
+def test_cholesky_frame_rejects_indefinite_and_non_finite(bad):
+    # a typed error, not numpy's LinAlgError, and never a frame of NaNs
+    with pytest.raises(NumericError):
+        _Frame.cholesky(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
