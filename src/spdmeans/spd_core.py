@@ -6,7 +6,11 @@ matrix.  Its private kernels take one ``(d, d)`` array or an
 and ``.mT``, so a stack costs one ``eigh``/``eigvalsh`` call for all of
 its matrices and a single pair goes through the same code: ``_assemble``
 (U f(lambda) U^T) and ``_spectral`` (the same from a cached or fresh
-decomposition).  Everything relative to
+decomposition).  The one eigendecomposition entry, ``_eigh``, branches
+only on rank: a single ``(d, d)`` matrix goes straight to LAPACK
+``dsyevd``, the routine numpy's ``eigh`` runs, without numpy's per-call
+overhead, and a stack goes to numpy's batched ``eigh``.  Every eigensolver
+failure surfaces as NumericError.  Everything relative to
 a base X goes through one ``_Frame``: X = F F^T with G = F^{-1}, built
 once per base, whitening P to G P G^T for the distance rho(X, P) and the
 geodesic X #_t P = F (G P G^T)^t F^T, and lifting a tangent S to
@@ -14,25 +18,27 @@ F exp(S) F^T for the exp map.  F is the symmetric root X^{1/2}, or the
 Cholesky factor of X when no eigendecomposition of X is needed: the
 matrix AHM builds that frame once per iteration and reads its harmonic
 step A X^{-1} B off the same G.  A walk of geodesic steps moves its frame
-with one eigh per step.  A frame of a stack of bases, from one eigh,
-pairs each base with its own target: the recursive means step and
-measure all their tuples at once through it.  An entry point taking n
-matrices validates them once into one ``(n, d, d)`` array (``_stack``);
-a fan-out from one base over it calls the eigensolver once per slice of
-at most ``_SLICE_BYTES``: once for up to 1,820 matrices at d = 3.  On
-them, behind the validated :class:`SpdMatrix` at the boundary, sit
-spectral matrix functions, the affine-invariant Riemannian distance, the
-weighted-geometric-mean geodesic, weighted arithmetic/harmonic means,
-the Loewner order, and the S-divergence.
+with one LAPACK ``dsyevd`` and one ``dgesv`` per step.  A frame of a
+stack of bases, from one eigh, pairs each base with its own target: the
+recursive means step and measure all their tuples at once through it.
+An entry point taking n matrices validates them once into one
+``(n, d, d)`` array (``_stack``); a fan-out from one base over it calls
+the eigensolver once per slice of at most ``_SLICE_BYTES``: once for up
+to 1,820 matrices at d = 3.  On them, behind the validated
+:class:`SpdMatrix` at the boundary, sit spectral matrix functions, the
+affine-invariant Riemannian distance, the weighted-geometric-mean
+geodesic, weighted arithmetic/harmonic means, the Loewner order, and the
+S-divergence.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dgesv, dsyevd, dtrtri
 
 from .errors import DefinitenessError, DomainError, NumericError, ShapeError
 
@@ -47,14 +53,38 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a matrix or of each matrix of a stack, eigenpairs reversed to
-    descending order and copied, so the eigenvectors are C-contiguous like
-    any stored array and products with them round the same way."""
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of one symmetric (d, d) array, from LAPACK dsyevd
+    (the routine numpy's eigh runs, without its call overhead), or of each
+    matrix of an (n, d, d) stack, from numpy's batched eigh.  Eigenvectors
+    come back C-contiguous on both paths, so products with them round the
+    same way for a matrix alone and in a stack.  A failed solve raises
+    NumericError."""
+    if a.ndim == 2:
+        lam, vecs, info = dsyevd(a, compute_v=1, lower=1)
+        if info != 0:
+            raise NumericError(f"eigendecomposition failed (LAPACK info {info})")
+        return lam, np.ascontiguousarray(vecs)
     try:
-        lam, vecs = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix or of each matrix of a
+    stack; a failed solve raises NumericError."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
+
+
+def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_eigh`` with the eigenpairs reversed to descending order and copied,
+    so the eigenvectors are C-contiguous like any stored array and products
+    with them round the same way."""
+    lam, vecs = _eigh(a)
     return lam[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
@@ -79,10 +109,7 @@ class SpdMatrix:
         if not np.all(np.isfinite(arr)):
             raise DefinitenessError("matrix has non-finite entries")
         arr = _symmetrize(arr)
-        try:
-            eigenvalues = np.linalg.eigvalsh(arr)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed during validation: {exc}") from exc
+        eigenvalues = _eigvalsh(arr)
         lo, hi = float(eigenvalues[0]), float(eigenvalues[-1])
         if hi <= 0.0 or lo <= DEFAULT_PD_TOLERANCE * hi:
             raise DefinitenessError(
@@ -229,14 +256,18 @@ def _assemble(vecs: np.ndarray, values: np.ndarray, divide: bool = False) -> np.
 def _spectral(source, f: Callable) -> np.ndarray:
     """U diag(f(lambda)) U^T for an SpdMatrix (cached decomposition) or a
     symmetric array (fresh eigh)."""
-    lam, vecs = source.eigen() if isinstance(source, SpdMatrix) else np.linalg.eigh(source)
+    lam, vecs = source.eigen() if isinstance(source, SpdMatrix) else _eigh(source)
     return _assemble(vecs, f(lam))
 
 
 def _positive(lam: np.ndarray) -> np.ndarray:
-    """Pass whitened eigenvalues through, or raise if roundoff made one nonpositive."""
-    if lam.min() <= 0:
-        raise NumericError("whitened matrix lost positive definiteness")
+    """Pass ascending whitened eigenvalues through, or raise if roundoff made
+    one nonpositive or overflow made one infinite or NaN.  One matrix's
+    spectrum is checked at its two ends; a stack's by reductions, which
+    propagate NaN."""
+    lo, hi = (lam[0], lam[-1]) if lam.ndim == 1 else (lam.min(), lam.max())
+    if not (lo > 0 and hi < math.inf):
+        raise NumericError("whitened matrix lost positive definiteness or overflowed")
     return lam
 
 
@@ -267,6 +298,14 @@ def matrix_function(P: SpdMatrix, f: Callable) -> np.ndarray:
 
 def spd_inverse(P: SpdMatrix) -> SpdMatrix:
     return SpdMatrix._trusted(matrix_function(P, lambda x: 1.0 / x))
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The read-only d x d identity, the right-hand side of ``_Frame``'s inverse."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 class _Frame:
@@ -300,7 +339,10 @@ class _Frame:
     G is recomputed by inversion after each step; updating it
     multiplicatively drifts (over 10^4 inductive steps at d = 3,
     ||G F - I|| reached 1.1e-13 that way and stayed at 3e-16 with
-    inversion).
+    inversion).  A single matrix's step calls LAPACK directly: ``dsyevd``
+    for the whitened spectrum and ``dgesv`` against a cached identity for
+    G, the routines behind numpy's ``eigh`` and ``inv``; a stack of bases
+    goes through numpy's batched ``eigh``.
     """
 
     __slots__ = ("_F", "_Ft", "_G", "_Gt", "_base")
@@ -358,7 +400,7 @@ class _Frame:
     def spectra(self, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened spectra (mu, V) of G P G^T for a (d, d) P or each
         matrix of a stack; ``_rho(mu)`` is the distance from the base."""
-        mu, vecs = np.linalg.eigh(self.whiten(Ps))
+        mu, vecs = _eigh(self.whiten(Ps))
         return _positive(mu), vecs
 
     def power_sandwich(self, Ys: np.ndarray, t: float) -> np.ndarray:
@@ -371,7 +413,7 @@ class _Frame:
 
     def distances(self, Ps: np.ndarray) -> np.ndarray:
         """rho(X, P) for a (d, d) P (a 0-d result) or each matrix of a stack."""
-        return _rho(np.linalg.eigvalsh(self.whiten(Ps)))
+        return _rho(_eigvalsh(self.whiten(Ps)))
 
     def inverse_sandwich(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """A X^{-1} B = (G A)^T (G B) for a symmetric (d, d) A and a (d, d) B;
@@ -383,9 +425,13 @@ class _Frame:
         return np.concatenate([self.distances(part) for part in _slices(stack)])
 
     def advance(self, mu: np.ndarray, vecs: np.ndarray, t: float) -> None:
-        """Move the base to X #_t P, given the whitened spectrum of P from ``spectra``."""
+        """Move the base of a one-base frame to X #_t P, given the whitened
+        spectrum of P from ``spectra``.  Raises NumericError if the moved
+        factor is singular."""
         F = (self._F @ vecs) * np.power(mu, 0.5 * t)
-        G = np.linalg.inv(F)
+        *_, G, info = dgesv(F, _identity(len(F)))
+        if info != 0:
+            raise NumericError(f"moved frame is singular (LAPACK info {info})")
         self._F, self._Ft, self._G, self._Gt = F, F.T, G, G.T
         self._base = None
 
@@ -471,7 +517,7 @@ def loewner_leq(P: SpdMatrix, Q: SpdMatrix, tolerance: float = DEFAULT_PD_TOLERA
     _check_same_dimension(P, Q)
     diff = Q.array - P.array
     scale = max(np.abs(P.array).max(), np.abs(Q.array).max())
-    smallest = float(np.linalg.eigvalsh(_symmetrize(diff))[0])
+    smallest = float(_eigvalsh(_symmetrize(diff))[0])
     return smallest >= -tolerance * scale
 
 

@@ -1,12 +1,14 @@
 """Source layout: one module owns each cross-cutting rule.
 
-Eigendecompositions are computed in spd_core only: every other module
-reaches spectral calculus through the kernels in ``spd_core``
+Eigendecompositions are computed in spd_core only, through numpy or
+LAPACK directly: every other module reaches spectral calculus through the
+kernels in ``spd_core``
 (``_spectral`` and the base-relative ``_Frame``, each taking a ``(d, d)``
 array or an ``(n, d, d)`` stack) or its public operations, so a change of
-eigensolver or batching touches one module.  Within spd_core the inverse
-root has one home: only ``_Frame`` inverts a matrix, full or triangular,
-or assembles U diag(lambda)^{-1} U^T.  The trace contract lives in
+eigensolver or batching touches one module.  The inverse root has one
+home: only ``spd_core._Frame`` inverts a matrix, full or triangular
+(``np.linalg.inv`` or LAPACK ``?gesv``, ``?getri``, ``?trtri``), or
+assembles U diag(lambda)^{-1} U^T.  The trace contract lives in
 ``convergence``: only ``TraceRecorder`` decides ``converged`` and raises
 the budget-cap NonConvergenceError.  The four sequential walks step
 through a moving ``_Frame`` (one eigh per step), and the recursive means
@@ -27,45 +29,54 @@ from pathlib import Path
 from spdmeans.errors import NonConvergenceError
 
 EIGENSOLVERS = {"eigh", "eigvalsh"}
+#: LAPACK's symmetric eigensolvers, matched by their suffix after the type
+#: letter (``dsyevd``, ``ssyev``, ...).
+LAPACK_EIGENSOLVERS = ("syevd", "syev", "syevr", "sygvd")
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdmeans"
 
 
-def _references(path: Path, names: set[str]) -> list[str]:
+def _is_eigensolver(name: str) -> bool:
+    return name in EIGENSOLVERS or name[1:] in LAPACK_EIGENSOLVERS
+
+
+def _references(path: Path, matches) -> list[str]:
     """``<file>:<top-level definition>:<line>`` of every attribute access or
-    import naming one of ``names``."""
+    import whose name satisfies ``matches``."""
     found = []
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Attribute) and node.attr in names
+            if (isinstance(node, ast.Attribute) and matches(node.attr)
                     or isinstance(node, ast.ImportFrom)
-                    and any(alias.name in names for alias in node.names)):
+                    and any(matches(alias.name) for alias in node.names)):
                 found.append(f"{path.name}:{getattr(top, 'name', '<module>')}:{node.lineno}")
     return found
 
 
 def test_eigensolvers_only_in_spd_core():
-    found = {path.name: _references(path, EIGENSOLVERS) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {path.name: _references(path, _is_eigensolver) for path in sorted(PACKAGE.glob("*.py"))}
     assert found.pop("spd_core.py"), "the scan finds no eigensolver even in spd_core"
     offenders = [ref for refs in found.values() for ref in refs]
-    assert offenders == [], f"eigh/eigvalsh referenced outside spd_core: {offenders}"
+    assert offenders == [], f"eigensolver referenced outside spd_core: {offenders}"
+
 
 
 def test_matrices_are_stacked_only_by_spd_core_stack():
     found = [ref.rsplit(":", 1)[0] for path in sorted(PACKAGE.glob("*.py"))
-             for ref in _references(path, {"stack"})]
+             for ref in _references(path, lambda name: name == "stack")]
     assert found == ["spd_core.py:_stack"], f"np.stack referenced outside spd_core._stack: {found}"
 
 
-#: scipy's triangular solves; LAPACK's triangular inverse ``?trtri`` is
-#: matched by its suffix.
+#: scipy's triangular solves; LAPACK's inverses and inverting solves
+#: (``?gesv``, ``?getri``, ``?trtri``) are matched by their suffix.
 TRIANGULAR_INVERSES = {"solve_triangular", "cho_solve"}
+LAPACK_INVERSES = ("gesv", "getri", "trtri")
 
 
 def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
-    """Lines of every ``np.linalg.inv`` call, triangular inverse or solve
-    (``trtri``, ``solve_triangular``, ``cho_solve``) and
-    ``_assemble(..., divide=True)`` call in the file, keyed by the enclosing
-    top-level class or function."""
+    """Lines of every ``np.linalg.inv`` call, LAPACK inverse or solve
+    (``?gesv``, ``?getri``, ``?trtri``), scipy triangular solve
+    (``solve_triangular``, ``cho_solve``) and ``_assemble(..., divide=True)``
+    call in the file, keyed by the enclosing top-level class or function."""
     found: dict[str, list[int]] = {}
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         for node in ast.walk(top):
@@ -75,7 +86,7 @@ def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
             name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
             inverts = (name == "inv" and isinstance(getattr(callee, "value", None), ast.Attribute)
                        and callee.value.attr == "linalg"
-                       or name.endswith("trtri") or name in TRIANGULAR_INVERSES)
+                       or name.endswith(LAPACK_INVERSES) or name in TRIANGULAR_INVERSES)
             divides = getattr(callee, "id", None) == "_assemble" and (
                 len(node.args) > 2 or any(kw.arg == "divide" for kw in node.keywords))
             if inverts or divides:
@@ -84,9 +95,10 @@ def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
 
 
 def test_inverse_root_only_in_frame():
-    found = _inverse_root_calls(PACKAGE / "spd_core.py")
-    assert found.pop("_Frame", None), "the scan finds no inverse root even in _Frame"
-    assert found == {}, f"spd_core inverts outside _Frame: {found}"
+    found = {f"{path.name}:{top}": lines for path in sorted(PACKAGE.glob("*.py"))
+             for top, lines in _inverse_root_calls(path).items()}
+    assert found.pop("spd_core.py:_Frame", None), "the scan finds no inverse root even in _Frame"
+    assert found == {}, f"a matrix is inverted outside spd_core._Frame: {found}"
 
 
 #: NonConvergenceError raised outside convergence.py, by enclosing function.

@@ -181,6 +181,26 @@ def _hessian_at(G, mats, weights):
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("per_slice", [None, 6])
+def test_weighted_log_sum_adds_in_order(rng, monkeypatch, d, per_slice):
+    # the one-pass running sum equals the sequential loop bit for bit, also
+    # when it carries its total across slices of ``per_slice`` matrices; at
+    # d = 1 numpy's sum along the stack adds more than 8 terms pairwise
+    mats = [random_spd(rng, d, 1.5) for _ in range(20)]
+    stack = spd_core._stack(mats)
+    frame = spd_core._Frame(random_spd(rng, d))
+    weights = rng.uniform(0.1, 1.0, size=len(mats))
+    if per_slice is not None:
+        monkeypatch.setattr(spd_core, "_SLICE_BYTES", per_slice * stack[0].nbytes)
+        assert len(spd_core._slices(stack)) == 4
+    expected = np.zeros((d, d))
+    for w, P in zip(weights, mats):
+        expected = expected + w * spd_core._spectral(frame.whiten(P.array), np.log)
+    log_sum, _ = multi_means._weighted_log_sum(frame, stack, weights)
+    assert np.array_equal(log_sum, expected)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
 def test_karcher_hessian_matches_second_difference(rng, d):
     # <Z, H[Z]> is the second derivative of f = (1/2) sum_i w_i rho^2(., P_i)
     # along the geodesic G^{1/2} exp(t Z) G^{1/2}

@@ -16,6 +16,7 @@ from spdmeans import (
     ShapeError,
     SpdMatrix,
     WeightVector,
+    ahm_iteration,
     bacak_median,
     geodesic,
     holbrook_inductive_mean,
@@ -26,6 +27,7 @@ from spdmeans import (
     matrix_function,
     power_mean,
     q_power_mean,
+    riemannian_circumcenter,
     riemannian_distance,
     s_divergence,
     sample_spd,
@@ -35,7 +37,7 @@ from spdmeans import (
 )
 from spdmeans import spd_core
 from spdmeans.multi_means import _conditions, _weighted_log_sum
-from spdmeans.spd_core import _Frame, _spectral, _stack, _symmetrize
+from spdmeans.spd_core import _assemble, _Frame, _spectral, _stack, _symmetrize
 from tests.conftest import random_invertible, random_spd
 
 
@@ -387,6 +389,53 @@ def test_walk_does_not_drift_over_long_runs():
     logdet = np.linalg.slogdet(mean.array)[1]
     expected_logdet = np.mean([np.linalg.slogdet(P.array)[1] for P in mats])
     assert abs(logdet - expected_logdet) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_single_matrix_kernels_match_the_stacked_ones(rng, d):
+    # one (d, d) matrix goes to LAPACK dsyevd and dgesv, a stack to numpy's
+    # batched eigh; both give the same whitened spectrum
+    walk = _Frame(random_spd(rng, d, 1.5))
+    eye = np.eye(d)
+    for t, y in enumerate((random_spd(rng, d, 1.5).array for _ in range(20)), 2):
+        mu, vecs = walk.spectra(y)
+        mu_stacked, vecs_stacked = walk.spectra(y[None])
+        np.testing.assert_allclose(mu, mu_stacked[0], rtol=1e-14, atol=0)
+        root = _assemble(vecs, np.sqrt(mu))
+        root_stacked = _assemble(vecs_stacked, np.sqrt(mu_stacked))[0]
+        assert np.linalg.norm(root - root_stacked) <= 1e-14 * np.linalg.norm(root)
+        walk.advance(mu, vecs, 1.0 / t)
+        # G from the LAPACK solve stays the inverse of the moved factor F
+        assert np.linalg.norm(walk._G @ walk._F - eye) <= 4 * d * np.finfo(float).eps
+
+
+def test_advance_onto_a_singular_factor_raises(rng):
+    walk = _Frame(random_spd(rng, 3))
+    mu, vecs = walk.spectra(random_spd(rng, 3).array)
+    mu = mu.copy()
+    mu[1] = 0.0
+    with pytest.raises(NumericError, match="singular"):
+        walk.advance(mu, vecs, 0.5)
+
+
+_TINY = SpdMatrix(1e-200 * np.eye(3))
+_HUGE = SpdMatrix(1e200 * np.eye(3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    lambda: riemannian_distance(_TINY, _HUGE),
+    lambda: geodesic(_TINY, _HUGE, 0.5),
+    lambda: holbrook_inductive_mean([_TINY, _HUGE]),
+    lambda: bacak_median([_TINY, _HUGE]),
+    lambda: riemannian_circumcenter([_TINY, _HUGE]),
+    lambda: ahm_iteration(_TINY, _HUGE),
+], ids=["distance", "geodesic", "holbrook", "median", "circumcenter", "ahm"])
+def test_overflowing_whitening_raises_numeric_error(call):
+    # valid inputs whose whitened product overflows: a typed error, never
+    # numpy's LinAlgError and never a matrix of NaNs
+    with pytest.raises(NumericError):
+        call()
 
 
 # ---------------------------------------------------------------------------
