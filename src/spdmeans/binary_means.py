@@ -22,14 +22,12 @@ from .scalar_means import POWER_MEAN_P_CUTOFF
 from .spd_core import (
     SpdMatrix,
     WeightVector,
-    _check_same_dimension,
     _Frame,
     _power_sandwich,
-    _spectral,
+    _quasi_arithmetic,
+    _stack,
     _symmetrize,
-    _weighted_sum,
     geodesic,
-    matrix_function,
     riemannian_distance,
     weighted_arithmetic,
 )
@@ -53,9 +51,8 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
     the harmonic step H_{t+1} = A_t A_{t+1}^{-1} H_t (equal to the formula
     above) and the gap, from one eigvalsh of the whitened H_{t+1}.
     """
-    _check_same_dimension(X, Y)
     recorder = TraceRecorder(tol, max_iter, "matrix AHM", order_floor=MATRIX_ORDER_FLOOR)
-    A, H = X.array, Y.array
+    A, H = _stack([X, Y])
     frame = _Frame.cholesky(A)
     t = 0
     while recorder.record(t, None, frame.distances(H)):
@@ -78,30 +75,31 @@ def geometric_mean_closed_form(X: SpdMatrix, Y: SpdMatrix) -> SpdMatrix:
 
 
 def log_euclidean_mean(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
-    """Weighted log-Euclidean mean exp(sum_i w_i log P_i).
+    """Weighted log-Euclidean mean exp(sum_i w_i log P_i): the
+    quasi-arithmetic mean with generator log, one eigh for all the logs.
 
     Agrees with the weighted geometric mean on commuting inputs but
     differs from G(X, Y) in general.
     """
-    logs = _weighted_sum(Ps, w, lambda P: matrix_function(P, np.log))
-    return SpdMatrix._trusted(_spectral(logs, np.exp))
+    return _quasi_arithmetic(Ps, w, np.log, np.exp)
 
 
 def q_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:
-    """Quasi-arithmetic matrix power mean Q_p(X, Y) = ((X^p + Y^p)/2)^{1/p}.
+    """Quasi-arithmetic matrix power mean Q_p(X, Y) = ((X^p + Y^p)/2)^{1/p},
+    on the same path as the weighted arithmetic, harmonic and
+    log-Euclidean means with generator x^p.
 
     Q_1 is the arithmetic mean, Q_{-1} the harmonic mean, and the p -> 0
-    limit is the log-Euclidean mean, used directly when |p| falls below
-    ``POWER_MEAN_P_CUTOFF``.
+    limit is the log-Euclidean mean, whose generator log is used when |p|
+    falls below ``POWER_MEAN_P_CUTOFF``.
     """
     if not np.isfinite(p):
         raise DomainError(f"power must be finite, got {p!r}")
-    _check_same_dimension(X, Y)
     if abs(p) < POWER_MEAN_P_CUTOFF:
-        return log_euclidean_mean([X, Y], WeightVector.uniform(2))
-    xp = matrix_function(X, lambda lam: np.power(lam, p))
-    yp = matrix_function(Y, lambda lam: np.power(lam, p))
-    return SpdMatrix._trusted(_spectral(0.5 * (xp + yp), lambda lam: np.power(lam, 1.0 / p)))
+        f, f_inv = np.log, np.exp
+    else:
+        f, f_inv = (lambda lam: np.power(lam, p)), (lambda lam: np.power(lam, 1.0 / p))
+    return _quasi_arithmetic([X, Y], WeightVector.uniform(2), f, f_inv)
 
 
 def lim_palfia_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:

@@ -45,6 +45,7 @@ from .spd_core import (
     _check_weight_count,
     _assemble,
     _Frame,
+    _ordered_sum,
     _rho,
     _slices,
     _spectral,
@@ -99,10 +100,8 @@ def _weighted_log_sum(frame: _Frame, stack: np.ndarray,
                       weights: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Weighted sum of the whitened logs log(G P_i G^T) of the matrices of
     an (n, d, d) stack: one eigh per ``_slices`` slice, then the terms added
-    in order, by one running sum per slice that starts from the previous
-    slices' total.  That is the left-to-right order of a loop of
-    ``acc = acc + w * log``, so the sum is bit-identical to it; ``np.sum``
-    along the stack may add pairwise.  Also returns the whitened spectra
+    left to right by ``_ordered_sum``, each slice's sum starting from the
+    previous slices' total.  Also returns the whitened spectra
     (mu, V) of each slice, in ascending order, for the Hessian and the step
     size."""
     spectra = [frame.spectra(part) for part in _slices(stack)]
@@ -110,9 +109,7 @@ def _weighted_log_sum(frame: _Frame, stack: np.ndarray,
     start = 0
     for mu, vecs in spectra:
         stop = start + len(mu)
-        terms = weights[start:stop, None, None] * _assemble(vecs, np.log(mu))
-        terms[0] += acc
-        acc = np.cumsum(terms, axis=0, out=terms)[-1]
+        acc = _ordered_sum(weights[start:stop, None, None] * _assemble(vecs, np.log(mu)), acc)
         start = stop
     if not np.all(np.isfinite(acc)):
         raise DomainError("function is not finite on the spectrum")

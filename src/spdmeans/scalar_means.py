@@ -156,44 +156,6 @@ def check_generator(gen: QuasiArithmeticGenerator, samples: Sequence[float] | No
             raise DomainError(f"generator {gen.label!r} derivative mismatch at u={s}")
 
 
-@dataclass(frozen=True)
-class LegendreGradient:
-    """Globally invertible gradient map seeding quasi-arithmetic centers."""
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-    label: str
-    in_domain: Callable[[np.ndarray], bool]
-
-
-def identity_gradient() -> LegendreGradient:
-    return LegendreGradient(
-        forward=lambda x: np.asarray(x, dtype=float),
-        inverse=lambda x: np.asarray(x, dtype=float),
-        label="identity",
-        in_domain=lambda x: bool(np.all(np.isfinite(x))),
-    )
-
-
-def componentwise_log_gradient() -> LegendreGradient:
-    return LegendreGradient(
-        forward=np.log,
-        inverse=np.exp,
-        label="componentwise log",
-        in_domain=lambda x: bool(np.all(np.asarray(x) > 0)),
-    )
-
-
-def negative_reciprocal_gradient() -> LegendreGradient:
-    """Gradient -1/x of the Burg-type potential; induces harmonic centers."""
-    return LegendreGradient(
-        forward=lambda x: -1.0 / np.asarray(x, dtype=float),
-        inverse=lambda x: -1.0 / np.asarray(x, dtype=float),
-        label="negative reciprocal",
-        in_domain=lambda x: bool(np.all(np.asarray(x) > 0)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Closed-form scalar means
 # ---------------------------------------------------------------------------
@@ -259,23 +221,6 @@ def quasi_arithmetic_mean(gen: QuasiArithmeticGenerator, points: Sequence[float]
     for w, x in zip(weights, points):
         acc += w * float(gen.forward(gen.require(x)))
     return float(gen.inverse(acc))
-
-
-def quasi_arithmetic_center(gradient: LegendreGradient, points: Sequence[np.ndarray],
-                            weights: WeightVector) -> np.ndarray:
-    """Multivariate quasi-arithmetic mean through an invertible gradient map."""
-    if len(points) != len(weights):
-        raise DomainError(f"{len(points)} points but {len(weights)} weights")
-    pts = [np.asarray(p, dtype=float) for p in points]
-    shape = pts[0].shape
-    acc = np.zeros(shape)
-    for w, p in zip(weights, pts):
-        if p.shape != shape:
-            raise DomainError("all points must share one shape")
-        if not gradient.in_domain(p):
-            raise DomainError(f"point outside the domain of gradient {gradient.label!r}")
-        acc = acc + w * gradient.forward(p)
-    return np.asarray(gradient.inverse(acc), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ matrix.  Its private kernels take one ``(d, d)`` array or an
 ``(n, d, d)`` stack, written once with ``[..., None, :]`` broadcasting
 and ``.mT``, so a stack costs one ``eigh``/``eigvalsh`` call for all of
 its matrices and a single pair goes through the same code: ``_assemble``
-(U f(lambda) U^T) and ``_spectral`` (the same from a cached or fresh
+(U f(lambda) U^T) and ``_spectral`` (the same from a fresh
 decomposition).  The one eigendecomposition entry, ``_eigh``, branches
 only on rank: a single ``(d, d)`` matrix goes straight to LAPACK
 ``dsyevd``, the routine numpy's ``eigh`` runs, without numpy's per-call
@@ -21,13 +21,15 @@ step A X^{-1} B off the same G.  A walk of geodesic steps moves its frame
 with one LAPACK ``dsyevd`` and one ``dgesv`` per step.  A frame of a
 stack of bases, from one eigh, pairs each base with its own target: the
 recursive means step and measure all their tuples at once through it.
-An entry point taking n matrices validates them once into one
-``(n, d, d)`` array (``_stack``); a fan-out from one base over it calls
-the eigensolver once per slice of at most ``_SLICE_BYTES``: once for up
-to 1,820 matrices at d = 3.  On them, behind the validated
-:class:`SpdMatrix` at the boundary, sit spectral matrix functions, the
-affine-invariant Riemannian distance, the weighted-geometric-mean
-geodesic, weighted arithmetic/harmonic means, the Loewner order, and the
+An entry point taking two or n matrices validates them once into one
+``(n, d, d)`` array (``_stack``), the only dimension check; a fan-out
+from one base over it calls the eigensolver once per slice of at most
+``_SLICE_BYTES``: once for up to 1,820 matrices at d = 3.  The weighted
+arithmetic, harmonic, log-Euclidean and power means are one path,
+f^{-1}(sum_i w_i f(P_i)) (``_quasi_arithmetic``).  On them, behind the
+validated :class:`SpdMatrix` at the boundary, sit spectral matrix
+functions, the affine-invariant Riemannian distance, the
+weighted-geometric-mean geodesic, the Loewner order, and the
 S-divergence.
 """
 
@@ -47,10 +49,10 @@ DEFAULT_PD_TOLERANCE = 1e-12
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A^T)/2 of a matrix or of each matrix of a stack, with one temporary."""
-    out = a + a.mT
-    out *= 0.5
-    return out
+    """(A + A^T)/2 of a matrix or of each matrix of a stack, halved before
+    the sum so that entries near the float64 maximum do not overflow."""
+    half = 0.5 * a
+    return half + half.mT
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +186,9 @@ class WeightVector:
         self._values = vals
 
     @classmethod
+    @functools.cache
     def uniform(cls, n: int) -> "WeightVector":
+        """Equal weights 1/n, cached: the vector is immutable."""
         if n < 1:
             raise DomainError("need at least one weight")
         return cls(np.full(n, 1.0 / n))
@@ -208,14 +212,6 @@ class WeightVector:
         return self._values[i]
 
 
-def _check_same_dimension(*mats: SpdMatrix) -> int:
-    d = mats[0].dimension
-    for m in mats[1:]:
-        if m.dimension != d:
-            raise ShapeError(f"dimension mismatch: {d} vs {m.dimension}")
-    return d
-
-
 #: Fan-out callers hand the kernels their stacks in slices of at most this
 #: many bytes.  A whole stack of large matrices makes temporaries of
 #: megabytes that the allocator gives back to the system after each call
@@ -234,16 +230,25 @@ def _slices(stack: np.ndarray) -> list[np.ndarray]:
 def _stack(Ps: Iterable[SpdMatrix], *others: SpdMatrix) -> np.ndarray:
     """The matrices of ``Ps`` as one (n, d, d) array, once checked to be at
     least one and to share their dimension with each other and with
-    ``others``: the one place where matrices become a stack, so numpy never
-    sees ragged shapes."""
+    ``others`` (numbered after them): the one place where matrices become a
+    stack and the one dimension check, so numpy never sees ragged shapes."""
     Ps = list(Ps)
     if not Ps:
         raise DomainError("need at least one matrix")
-    d = _check_same_dimension(*others, Ps[0])
-    for i, P in enumerate(Ps):
+    d = Ps[0].dimension
+    for i, P in enumerate(Ps + list(others)):
         if P.dimension != d:
             raise ShapeError(f"matrix {i} has dimension {P.dimension}, expected {d}")
     return np.stack([P.array for P in Ps])
+
+
+def _ordered_sum(terms: np.ndarray, start: np.ndarray | float = 0.0) -> np.ndarray:
+    """start + terms[0] + terms[1] + ... over the first axis of a stack,
+    added left to right in place (``terms`` is overwritten).  That is the
+    order of a loop of ``acc = acc + term``, so the sum is bit-identical to
+    it; ``np.sum`` along the stack may add pairwise."""
+    terms[0] += start
+    return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
 def _assemble(vecs: np.ndarray, values: np.ndarray, divide: bool = False) -> np.ndarray:
@@ -253,10 +258,10 @@ def _assemble(vecs: np.ndarray, values: np.ndarray, divide: bool = False) -> np.
     return _symmetrize((vecs / v if divide else vecs * v) @ vecs.mT)
 
 
-def _spectral(source, f: Callable) -> np.ndarray:
-    """U diag(f(lambda)) U^T for an SpdMatrix (cached decomposition) or a
-    symmetric array (fresh eigh)."""
-    lam, vecs = source.eigen() if isinstance(source, SpdMatrix) else _eigh(source)
+def _spectral(a: np.ndarray, f: Callable) -> np.ndarray:
+    """U diag(f(lambda)) U^T of a symmetric array or of each matrix of a
+    stack, from a fresh eigh."""
+    lam, vecs = _eigh(a)
     return _assemble(vecs, f(lam))
 
 
@@ -452,8 +457,7 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
     rho(P1, P2) = || log(P1^{-1/2} P2 P1^{-1/2}) ||_F, evaluated as the
     root-sum-square of the logs of the whitened eigenvalues.
     """
-    _check_same_dimension(P1, P2)
-    return float(_Frame(P1).distances(P2.array))
+    return float(_Frame(P1).distances(_stack([P1, P2])[1]))
 
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
@@ -468,7 +472,7 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     t is arc length: rho(geodesic(X, Y, t), X) = t * rho(X, Y).
     Only the segment t in [0, 1] is supported.
     """
-    _check_same_dimension(X, Y)
+    _stack([X, Y])
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter must lie in [0, 1], got {t}")
     if t == 0.0:
@@ -483,26 +487,36 @@ def _check_weight_count(n: int, w: WeightVector) -> None:
         raise ShapeError(f"{n} matrices but {len(w)} weights")
 
 
-def _weighted_sum(Ps: Sequence[SpdMatrix], w: WeightVector, term: Callable) -> np.ndarray:
-    """sum_i w_i term(P_i), once the counts and dimensions are checked to agree."""
-    Ps = list(Ps)
-    _check_weight_count(len(Ps), w)
-    _check_same_dimension(*Ps)
-    acc = np.zeros_like(Ps[0].array)
-    for wi, P in zip(w, Ps):
-        acc = acc + wi * term(P)
-    return acc
+def _quasi_arithmetic(Ps: Iterable[SpdMatrix], w: WeightVector, f: Callable | None = None,
+                      f_inv: Callable | None = None) -> SpdMatrix:
+    """The weighted quasi-arithmetic matrix mean f^{-1}(sum_i w_i f(P_i)),
+    with f = f^{-1} = id when they are not given.
+
+    ``Ps`` is validated once through ``_stack``.  f acts on the whole stack
+    from one eigh, in the descending order of ``SpdMatrix.eigen``, so each
+    f(P_i) is the one ``matrix_function`` gives; DomainError if f is not
+    finite on a spectrum.  The weighted terms are added by ``_ordered_sum``
+    and f^{-1} is applied through ``_spectral``."""
+    stack = _stack(Ps)
+    _check_weight_count(len(stack), w)
+    if f is not None:
+        lam, vecs = _descending_eigh(stack)
+        flam = f(lam)
+        if not np.all(np.isfinite(flam)):
+            raise DomainError("function is not finite on the spectrum")
+        stack = _assemble(vecs, flam)
+    mean = _ordered_sum(w.values[:, None, None] * stack)
+    return SpdMatrix._trusted(mean if f_inv is None else _spectral(mean, f_inv))
 
 
 def weighted_arithmetic(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """Weighted arithmetic matrix mean, sum of w_i P_i."""
-    return SpdMatrix._trusted(_weighted_sum(Ps, w, lambda P: P.array))
+    return _quasi_arithmetic(Ps, w)
 
 
 def weighted_harmonic(Ps: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """Weighted harmonic matrix mean, the inverse of the weighted mean of inverses."""
-    inverses = _weighted_sum(Ps, w, lambda P: matrix_function(P, lambda x: 1.0 / x))
-    return spd_inverse(SpdMatrix._trusted(inverses))
+    return _quasi_arithmetic(Ps, w, np.reciprocal, np.reciprocal)
 
 
 def loewner_leq(P: SpdMatrix, Q: SpdMatrix, tolerance: float = DEFAULT_PD_TOLERANCE) -> bool:
@@ -514,10 +528,9 @@ def loewner_leq(P: SpdMatrix, Q: SpdMatrix, tolerance: float = DEFAULT_PD_TOLERA
     """
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    _check_same_dimension(P, Q)
-    diff = Q.array - P.array
-    scale = max(np.abs(P.array).max(), np.abs(Q.array).max())
-    smallest = float(_eigvalsh(_symmetrize(diff))[0])
+    pair = _stack([P, Q])
+    scale = np.abs(pair).max()
+    smallest = float(_eigvalsh(_symmetrize(pair[1] - pair[0]))[0])
     return smallest >= -tolerance * scale
 
 
@@ -527,8 +540,8 @@ def s_divergence(X: SpdMatrix, Y: SpdMatrix) -> float:
     log det((X+Y)/2) - (log det X + log det Y)/2; nonnegative, symmetric,
     zero exactly on the diagonal X = Y.
     """
-    _check_same_dimension(X, Y)
-    sign, logdet_mid = np.linalg.slogdet(0.5 * (X.array + Y.array))
+    midpoint = weighted_arithmetic([X, Y], WeightVector.uniform(2))
+    sign, logdet_mid = np.linalg.slogdet(midpoint.array)
     if sign <= 0:
         raise NumericError("midpoint matrix lost positive definiteness")
     logdet_x = float(np.sum(np.log(X.eigen()[0])))

@@ -16,9 +16,12 @@ step all their tuples at once through a stacked ``_Frame`` (one eigh per
 level and round), not through the two-eigh ``geodesic`` or
 ``riemannian_distance``.
 Matrices become an ``(n, d, d)`` stack in one place, ``spd_core._stack``,
-which validates them first: the n-matrix entry points call it once and
-hand its array to the kernels.  A NonConvergenceError propagates from
-where it is raised to the CLI, the only module that catches it.
+which validates them first and is the one dimension check: the n-matrix
+and pair entry points call it once and hand its array to the kernels.
+Weighted terms are added left to right in one place,
+``spd_core._ordered_sum``, the only user of ``np.cumsum``.  A
+NonConvergenceError propagates from where it is raised to the CLI, the
+only module that catches it.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ def test_matrices_are_stacked_only_by_spd_core_stack():
     found = [ref.rsplit(":", 1)[0] for path in sorted(PACKAGE.glob("*.py"))
              for ref in _references(path, lambda name: name == "stack")]
     assert found == ["spd_core.py:_stack"], f"np.stack referenced outside spd_core._stack: {found}"
+
+
+def test_ordered_sums_only_in_spd_core_ordered_sum():
+    found = [ref.rsplit(":", 1)[0] for path in sorted(PACKAGE.glob("*.py"))
+             for ref in _references(path, lambda name: name == "cumsum")]
+    assert found == ["spd_core.py:_ordered_sum"], f"np.cumsum outside spd_core._ordered_sum: {found}"
 
 
 #: scipy's triangular solves; LAPACK's inverses and inverting solves

@@ -12,17 +12,13 @@ from spdmeans import (
     agm,
     ahm,
     complex_ahm,
-    componentwise_log_gradient,
     double_sequence,
     elliptic_k,
     identity_generator,
-    identity_gradient,
     log_generator,
-    negative_reciprocal_gradient,
     power_generator,
     power_mean,
     pythagorean_mean,
-    quasi_arithmetic_center,
     quasi_arithmetic_mean,
     reciprocal_generator,
 )
@@ -197,32 +193,6 @@ def test_quasi_arithmetic_mean_inbetweenness(rng):
         for gen in gens:
             m = quasi_arithmetic_mean(gen, pts, WeightVector(w))
             assert min(pts) - 1e-12 <= m <= max(pts) + 1e-12
-
-
-def test_quasi_arithmetic_center_examples():
-    w = WeightVector.uniform(2)
-    np.testing.assert_allclose(
-        quasi_arithmetic_center(identity_gradient(),
-                                [np.array([1.0, 2.0]), np.array([3.0, 4.0])], w),
-        [2.0, 3.0], rtol=1e-14)
-    np.testing.assert_allclose(
-        quasi_arithmetic_center(componentwise_log_gradient(),
-                                [np.array([4.0, 1.0]), np.array([9.0, 1.0])], w),
-        [6.0, 1.0], rtol=1e-12)
-    np.testing.assert_allclose(
-        quasi_arithmetic_center(negative_reciprocal_gradient(),
-                                [np.array([1.0]), np.array([1 / 3])], w),
-        [0.5], rtol=1e-12)
-
-
-def test_quasi_arithmetic_center_singleton_and_domain():
-    point = np.array([2.5, 0.5])
-    out = quasi_arithmetic_center(componentwise_log_gradient(), [point],
-                                  WeightVector([1.0]))
-    np.testing.assert_allclose(out, point, rtol=1e-14)
-    with pytest.raises(DomainError):
-        quasi_arithmetic_center(componentwise_log_gradient(),
-                                [np.array([1.0, -1.0])], WeightVector([1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from spdmeans import (
     SampleConfig,
     ShapeError,
     SpdMatrix,
+    SpdMeansError,
     WeightVector,
     ahm_iteration,
     bacak_median,
@@ -279,10 +280,14 @@ def test_distance_congruence_invariance(rng):
 
 def test_distance_shape_mismatch():
     a, b = SpdMatrix(np.eye(2)), SpdMatrix(np.eye(3))
-    with pytest.raises(ShapeError):
-        riemannian_distance(a, b)
-    with pytest.raises(ShapeError):
-        log_euclidean_mean([a, b], WeightVector.uniform(2))
+    pair = WeightVector.uniform(2)
+    for operation in (riemannian_distance, s_divergence, loewner_leq, ahm_iteration,
+                      lambda x, y: geodesic(x, y, 0.5),
+                      lambda x, y: weighted_arithmetic([x, y], pair),
+                      lambda x, y: weighted_harmonic([x, y], pair),
+                      lambda x, y: log_euclidean_mean([x, y], pair)):
+        with pytest.raises(ShapeError, match="matrix 1 has dimension 3, expected 2"):
+            operation(a, b)
     with pytest.raises(ShapeError):
         log_euclidean_mean([a, a, a], WeightVector.uniform(2))
     for p in (0.5, 1e-9):  # the power branch and the log-Euclidean limit branch
@@ -486,6 +491,58 @@ def test_weighted_means_trivial_cases(rng):
     np.testing.assert_allclose(
         weighted_arithmetic([eye, eye], WeightVector.uniform(2)).array, np.eye(3),
         rtol=1e-14)
+    with pytest.raises(DomainError, match="need at least one matrix"):
+        weighted_arithmetic([], one)
+
+
+def _sequential_mean(Ps, w, f=None, f_inv=None):
+    """f^{-1}(sum_i w_i f(P_i)) from per-matrix matrix_function terms added
+    by a loop, the order the weighted means must keep."""
+    acc = np.zeros_like(Ps[0].array)
+    for wi, P in zip(w, Ps):
+        acc = acc + wi * (P.array if f is None else matrix_function(P, f))
+    return SpdMatrix._trusted(acc if f_inv is None else _spectral(acc, f_inv)).array
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 32])
+def test_quasi_arithmetic_means_match_the_sequential_sum(rng, d):
+    Ps = [random_spd(rng, d, spread=2.0) for _ in range(5)]
+    w = WeightVector([0.05, 0.3, 0.1, 0.35, 0.2])
+    np.testing.assert_array_equal(weighted_arithmetic(Ps, w).array, _sequential_mean(Ps, w))
+    np.testing.assert_array_equal(log_euclidean_mean(Ps, w).array,
+                                  _sequential_mean(Ps, w, np.log, np.exp))
+    pair = WeightVector.uniform(2)
+    for p in (0.5, -1.5, 2.0, 1.0, -1.0):
+        np.testing.assert_array_equal(
+            q_power_mean(Ps[0], Ps[1], p).array,
+            _sequential_mean(Ps[:2], pair, lambda x: np.power(x, p), lambda x: np.power(x, 1 / p)))
+    np.testing.assert_array_equal(q_power_mean(Ps[0], Ps[1], 1e-9).array,
+                                  _sequential_mean(Ps[:2], pair, np.log, np.exp))
+    # the outer inverse runs in ascending rather than descending order
+    inverses = SpdMatrix._trusted(_sequential_mean(Ps, w, lambda x: 1.0 / x))
+    expected = spd_inverse(inverses).array
+    harmonic = weighted_harmonic(Ps, w).array
+    assert np.linalg.norm(harmonic - expected) <= 1e-15 * np.linalg.norm(expected)
+
+
+#: Inputs with entries above half the float64 maximum, where forming
+#: A + A^T before halving overflows.
+NEAR_OVERFLOW = [np.diag([1e308, 1.2e308]), np.array([[1.2e308, 3e307], [3e307, 1e308]])]
+
+
+@pytest.mark.parametrize("values", NEAR_OVERFLOW, ids=["diagonal", "full"])
+@pytest.mark.parametrize("operation", [
+    lambda v: SpdMatrix(v).array,
+    lambda v: weighted_arithmetic([SpdMatrix(v), SpdMatrix(0.5 * v)], WeightVector.uniform(2)).array,
+    lambda v: s_divergence(SpdMatrix(v), SpdMatrix(v)),
+    lambda v: geodesic(SpdMatrix(v), SpdMatrix(0.5 * v), 0.5).array,
+], ids=["SpdMatrix", "weighted_arithmetic", "s_divergence", "geodesic"])
+def test_near_overflow_inputs_give_finite_results(values, operation):
+    try:
+        out = operation(values)
+    except SpdMeansError:
+        return  # a typed refusal is allowed; an inf or nan result is not
+    assert np.all(np.isfinite(out))
 
 
 def test_weighted_means_scalar_cases():
