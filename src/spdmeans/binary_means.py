@@ -11,6 +11,7 @@ solver cross-validating it.
 
 from __future__ import annotations
 
+import math
 from itertools import count
 from typing import Sequence
 
@@ -60,7 +61,7 @@ def ahm_iteration(X: SpdMatrix, Y: SpdMatrix, tol: float = AHM_DEFAULT_TOLERANCE
         frame = _Frame.cholesky(A_next)
         A, H = A_next, _symmetrize(frame.inverse_sandwich(A, H))
         t += 1
-    limit = SpdMatrix._trusted(0.5 * (A + H))
+    limit = SpdMatrix._trusted(0.5 * A + 0.5 * H)
     return limit, recorder.build()
 
 
@@ -118,10 +119,19 @@ def lim_palfia_power_mean(X: SpdMatrix, Y: SpdMatrix, p: float) -> SpdMatrix:
     return _power_sandwich(X, inner, 1.0 / p)
 
 
+def _relative_frobenius(M: np.ndarray, other: np.ndarray) -> float:
+    """||M - other||_F / ||M||_F.  Both norms are taken of the arrays
+    scaled by the power of two nearest max |M|, so squaring entries near
+    the float64 maximum does not overflow; the scaling is exact, so the
+    ratio is unchanged wherever nothing overflowed before."""
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(M))))[1])
+    return float(np.linalg.norm((M - other) * scale) / np.linalg.norm(M * scale))
+
+
 def power_mean_fixed_point_residual(M: SpdMatrix, X: SpdMatrix, Y: SpdMatrix, p: float) -> float:
     """Relative Frobenius residual of M - (M #_p X + M #_p Y)/2."""
-    rhs = 0.5 * (geodesic(M, X, p).array + geodesic(M, Y, p).array)
-    return float(np.linalg.norm(M.array - rhs) / np.linalg.norm(M.array))
+    rhs = 0.5 * geodesic(M, X, p).array + 0.5 * geodesic(M, Y, p).array
+    return _relative_frobenius(M.array, rhs)
 
 
 def lim_palfia_power_mean_picard(
@@ -143,8 +153,8 @@ def lim_palfia_power_mean_picard(
     M = weighted_arithmetic([X, Y], WeightVector.uniform(2))
     for t in count(1):
         previous = M
-        M = SpdMatrix._trusted(0.5 * (geodesic(M, X, p).array + geodesic(M, Y, p).array))
-        step = float(np.linalg.norm(M.array - previous.array) / np.linalg.norm(M.array))
+        M = SpdMatrix._trusted(0.5 * geodesic(M, X, p).array + 0.5 * geodesic(M, Y, p).array)
+        step = _relative_frobenius(M.array, previous.array)
         if not recorder.record(t, None, step):
             return M, recorder.build()
 

@@ -10,11 +10,11 @@ pair collapses to the geometric mean.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .convergence import ConvergenceTrace, TraceRecorder
 from .errors import DomainError, NumericError
@@ -26,6 +26,8 @@ DEFAULT_MAX_ITERATIONS = 64
 #: Below this |p| the scalar power mean and the matrix Q_p family evaluate
 #: their p -> 0 limit branch.
 POWER_MEAN_P_CUTOFF = 1e-8
+
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +200,22 @@ def pythagorean_mean(kind: str, x: float, y: float) -> float:
 def power_mean(p: float, x: float, y: float) -> float:
     """Scalar power mean M_p(x, y) = ((x^p + y^p)/2)^(1/p).
 
-    The geometric-limit branch sqrt(xy) is used for |p| below
-    ``POWER_MEAN_P_CUTOFF`` to dodge catastrophic cancellation.
+    The geometric limit is used for |p| below ``POWER_MEAN_P_CUTOFF``.
+    Otherwise, with m the input whose p-th power is larger and
+    r = (the other input)/m, M_p = m ((1 + r^p)/2)^(1/p) is evaluated as
+    m exp(log1p(expm1(p log r)/2)/p): r^p <= 1 cannot overflow, the
+    expm1/log1p pair keeps its digits as p -> 0, and x = y returns x.
     """
     if not math.isfinite(p):
         raise DomainError(f"power must be finite, got {p!r}")
     _require_positive(x, y)
     if abs(p) < POWER_MEAN_P_CUTOFF:
-        return math.sqrt(x * y)
-    # Work in logs to survive large |p| without overflow.
-    lx, ly = p * math.log(x), p * math.log(y)
-    m = max(lx, ly)
-    return math.exp((m + math.log(0.5 * (math.exp(lx - m) + math.exp(ly - m)))) / p)
+        return _geometric(x, y)
+    m, other = (max(x, y), min(x, y)) if p > 0 else (min(x, y), max(x, y))
+    r = other / m
+    # a ratio past the float range falls back to a difference of logs
+    log_r = math.log(r) if _TINY <= r <= _HUGE else math.log(other) - math.log(m)
+    return m * math.exp(math.log1p(0.5 * math.expm1(p * log_r)) / p)
 
 
 def quasi_arithmetic_mean(gen: QuasiArithmeticGenerator, points: Sequence[float],
@@ -315,7 +321,11 @@ def elliptic_k(u: float) -> float:
     K(u) = int_0^{pi/2} dtheta / sqrt(1 - u^2 sin^2 theta), |u| < 1,
     to absolute tolerance 1e-13.  Serves as the independent oracle for
     the AGM identity AGM(x, y) = (pi/4) (x + y) / K((x - y)/(x + y)).
+    scipy.integrate, which pulls in much of scipy, is loaded on the first
+    call rather than on ``import spdmeans``.
     """
+    from scipy import integrate
+
     if not abs(u) < 1.0:
         raise DomainError(f"elliptic_k requires |u| < 1, got {u!r}")
     usq = u * u

@@ -182,6 +182,16 @@ def test_scalar_power_kind_with_parameter(capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(6.0)
 
 
+def test_scalar_power_zero_at_large_magnitudes_is_finite(capsys):
+    assert main(["scalar", "--kind", "power:0", "--x", "1e200", "--y", "3e200"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+
+
+def test_scalar_power_of_equal_inputs_returns_them(capsys):
+    assert main(["scalar", "--kind", "power:0.5", "--x", "1e200", "--y", "1e200"]) == 0
+    assert capsys.readouterr().out.strip() == "1e+200"
+
+
 def test_scalar_json_output(capsys):
     assert main(["scalar", "--kind", "agm", "--x", "1", "--y", "2",
                  "--output", "json"]) == 0

@@ -21,12 +21,19 @@ and pair entry points call it once and hand its array to the kernels.
 Weighted terms are added left to right in one place,
 ``spd_core._ordered_sum``, the only user of ``np.cumsum``.  A
 NonConvergenceError propagates from where it is raised to the CLI, the
-only module that catches it.
+only module that catches it.  The only module-level scipy import is
+``scipy.linalg.lapack`` in spd_core; scipy.integrate is imported inside
+``scalar_means.elliptic_k``, so neither ``import spdmeans`` nor a CLI
+request loads another scipy subpackage.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from spdmeans.errors import NonConvergenceError
@@ -201,3 +208,88 @@ def test_walks_step_through_the_factored_walk():
         defined, calls = _two_eigh_calls(PACKAGE / module, functions)
         assert defined == functions, f"{module} no longer defines {functions - defined}"
         assert calls == [], f"{module} walks call geodesic/riemannian_distance: {calls}"
+
+
+#: Every scipy import in the package: (file, enclosing top-level definition,
+#: module).  scipy.integrate loads optimize, sparse, special, spatial, fft
+#: and more, so it waits for the one function that needs it.
+SCIPY_IMPORTS = [
+    ("scalar_means.py", "elliptic_k", "scipy.integrate"),
+    ("spd_core.py", "<module>", "scipy.linalg.lapack"),
+]
+
+
+def _scipy_imports(path: Path) -> list[tuple[str, str, str]]:
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                modules = [f"scipy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, getattr(top, "name", "<module>"), module)
+                      for module in modules if module.split(".")[0] == "scipy"]
+    return found
+
+
+def test_scipy_integrate_is_imported_only_inside_elliptic_k():
+    found = [ref for path in sorted(PACKAGE.glob("*.py")) for ref in _scipy_imports(path)]
+    assert found == SCIPY_IMPORTS, f"scipy imported outside the allowed places: {found}"
+
+
+#: Run in a fresh interpreter: import the package, serve one request of
+#: every CLI command kind, report the scipy subpackages loaded, then call
+#: elliptic_k.
+_COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import spdmeans
+from spdmeans.cli import kinds_for_command, main
+
+pair, multi = sys.argv[1:3]
+requests = [["scalar", "--kind", kind.replace(":p", ":0.5"), "--x", "2", "--y", "3"]
+            for kind in kinds_for_command("scalar")]
+requests += [["pair", "--kind", kind.replace(":p", ":0.5"), "--inputs", pair]
+             for kind in kinds_for_command("pair")]
+requests += [["multi", "--kind", kind, "--inputs", multi, "--max-iterations", "50"]
+             for kind in kinds_for_command("multi")]
+requests += [["sample", "--experiment", "clt", "--count", "20", "--trials", "5"],
+             ["sample", "--experiment", "lln", "--dimension", "2", "--count", "20",
+              "--num-seeds", "2"]]
+def subpackages():
+    return sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")})
+
+loaded = {"import spdmeans": [0, subpackages()]}
+for argv in requests:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[" ".join(argv[:3])] = [code, subpackages()]
+print(json.dumps(loaded))
+print(spdmeans.elliptic_k(0.5).hex())
+print(json.dumps("scipy.integrate" in sys.modules))
+"""
+
+#: What scipy.linalg.lapack brings: scipy's private modules, scipy.linalg
+#: and scipy.version.
+COLD_START_SUBPACKAGES = {"linalg", "version"}
+
+
+def test_cold_start_loads_only_scipy_linalg(tmp_path):
+    pair, multi = tmp_path / "pair.json", tmp_path / "multi.json"
+    pair.write_text(json.dumps({"d": 2, "matrices": [[2, 0.5, 0.5, 1], [1, -0.2, -0.2, 3]]}))
+    multi.write_text(json.dumps({"d": 2, "matrices": [[2, 0.5, 0.5, 1], [1, -0.2, -0.2, 3],
+                                                      [1.5, 0, 0, 0.5]]}))
+    result = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, str(pair), str(multi)],
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+                            capture_output=True, text=True, timeout=120, check=True)
+    loaded, k_hex, integrate_loaded = result.stdout.splitlines()
+    for request, (code, subpackages) in json.loads(loaded).items():
+        assert code == 0, f"{request} exited {code}: {result.stderr}"
+        public = {name for name in subpackages if not name.startswith("_")}
+        assert public <= COLD_START_SUBPACKAGES, f"{request} loaded scipy {sorted(public)}"
+    # the quadrature oracle still loads scipy.integrate and gives the same K(1/2)
+    assert json.loads(integrate_loaded) is True
+    assert float.fromhex(k_hex) == float.fromhex("0x1.af8d55d323f7ap+0")

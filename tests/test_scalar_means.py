@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,12 @@ from spdmeans import (
     quasi_arithmetic_mean,
     reciprocal_generator,
 )
-from spdmeans.scalar_means import _PYTHAGOREAN_MEANS, _check_betweenness, check_generator
+from spdmeans.scalar_means import (
+    POWER_MEAN_P_CUTOFF,
+    _PYTHAGOREAN_MEANS,
+    _check_betweenness,
+    check_generator,
+)
 
 # AGM(1, 2) to 19 significant digits, computed independently at high
 # precision; float64 rounds it to 1.4567910310469069.
@@ -67,9 +73,48 @@ def test_power_mean_examples():
     assert power_mean(-1, 1, 1 / 3) == pytest.approx(0.5, rel=1e-15)
 
 
+def _power_mean_reference(p: float, x: float, y: float) -> float:
+    with mpmath.workdps(50):
+        p, x, y = mpmath.mpf(p), mpmath.mpf(x), mpmath.mpf(y)
+        return float(((x ** p + y ** p) / 2) ** (1 / p))
+
+
+@pytest.mark.parametrize("p", [1e-7, -1e-7, 1e-6, -1e-6, 1e-3, 0.5, -1.5])
+def test_power_mean_matches_a_50_digit_reference(rng, p):
+    # near the p -> 0 cutoff a direct ((x^p + y^p)/2)^(1/p) keeps few digits
+    for _ in range(100):
+        x, y = (float(v) for v in np.exp(rng.uniform(-5, 5, size=2)))
+        expected = _power_mean_reference(p, x, y)
+        assert abs(power_mean(p, x, y) - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5, 2.0, -1.5])
+def test_power_mean_of_inputs_whose_ratio_leaves_the_float_range(p):
+    # 1e-300 / 1e300 underflows to 0 and its reciprocal overflows; the
+    # difference of logs near +-690 used instead keeps about 13 digits
+    x, y = 1e-300, 1e300
+    expected = _power_mean_reference(p, x, y)
+    assert abs(power_mean(p, x, y) - expected) <= 1e-12 * expected
+
+
 def test_power_mean_zero_cutoff_is_continuous():
-    for p in (1e-9, -1e-9, 1e-7, -1e-7):
-        assert power_mean(p, 4, 9) == pytest.approx(6.0, rel=1e-6)
+    for p in (1e-9, -1e-9):
+        assert power_mean(p, 4, 9) == 6.0
+    below, above = power_mean(0.999e-8, 4, 9), power_mean(1.001e-8, 4, 9)
+    assert abs(above - below) <= 1e-8 * below
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-9, 1e-3, 0.5, 2.0, -1.5, 30.0])
+@pytest.mark.parametrize("x", [1e-300, 1e-200, 1.0, 1e200, 1e300])
+def test_power_mean_is_reflexive_and_finite_at_extreme_magnitudes(p, x):
+    if abs(p) < POWER_MEAN_P_CUTOFF:
+        # sqrt(x) sqrt(x) rounds twice
+        assert power_mean(p, x, x) == pytest.approx(x, rel=2.3e-16)
+    else:
+        assert power_mean(p, x, x) == x
+    for y in (3.0 * x, x / 3.0):
+        value = power_mean(p, x, y)
+        assert min(x, y) <= value <= max(x, y)
 
 
 def test_pythagorean_chain_and_inbetweenness(rng):

@@ -23,10 +23,12 @@ from spdmeans import (
     holbrook_inductive_mean,
     inductive_expectation,
     karcher_refine,
+    lim_palfia_power_mean_picard,
     log_euclidean_mean,
     loewner_leq,
     matrix_function,
     power_mean,
+    power_mean_fixed_point_residual,
     q_power_mean,
     riemannian_circumcenter,
     riemannian_distance,
@@ -536,13 +538,26 @@ NEAR_OVERFLOW = [np.diag([1e308, 1.2e308]), np.array([[1.2e308, 3e307], [3e307, 
     lambda v: weighted_arithmetic([SpdMatrix(v), SpdMatrix(0.5 * v)], WeightVector.uniform(2)).array,
     lambda v: s_divergence(SpdMatrix(v), SpdMatrix(v)),
     lambda v: geodesic(SpdMatrix(v), SpdMatrix(0.5 * v), 0.5).array,
-], ids=["SpdMatrix", "weighted_arithmetic", "s_divergence", "geodesic"])
+    lambda v: ahm_iteration(SpdMatrix(v), SpdMatrix(v))[0].array,
+    lambda v: lim_palfia_power_mean_picard(SpdMatrix(v), SpdMatrix(0.5 * v), 0.5)[0].array,
+], ids=["SpdMatrix", "weighted_arithmetic", "s_divergence", "geodesic", "ahm_iteration",
+        "picard"])
 def test_near_overflow_inputs_give_finite_results(values, operation):
     try:
         out = operation(values)
     except SpdMeansError:
         return  # a typed refusal is allowed; an inf or nan result is not
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("values", NEAR_OVERFLOW, ids=["diagonal", "full"])
+def test_picard_converges_near_overflow(values):
+    # its relative step and the residual square entries near the float64 maximum
+    X = SpdMatrix(values)
+    for Y in (X, SpdMatrix(0.5 * values)):
+        M, trace = lim_palfia_power_mean_picard(X, Y, 0.5)
+        assert trace.converged
+        assert power_mean_fixed_point_residual(M, X, Y, 0.5) <= 1e-11
 
 
 def test_weighted_means_scalar_cases():
