@@ -110,12 +110,16 @@ class TraceRecorder:
         self._steps.append((step, value, float(error)))
         if self.tol is not None and error <= self.tol:
             return False
-        if self.max_steps is not None and step >= self.max_steps:
+        if self.exhausted(step):
             raise NonConvergenceError(
                 f"{self.name} failed to reach {self.tol} within {self.max_steps} {self._unit}",
                 trace=self.build(),
             )
         return True
+
+    def exhausted(self, step: int) -> bool:
+        """Whether ``record`` raises at this step for an error above ``tol``."""
+        return self.max_steps is not None and step >= self.max_steps
 
     def build(self, iterations_used: int | None = None) -> ConvergenceTrace:
         errors = [error for _, _, error in self._steps]

@@ -21,10 +21,15 @@ others), and the n leave-one-out inner means are independent.  One
 recursion level therefore runs a (k, n, d, d) stack of k tuples in
 lockstep through a stacked ``_Frame``, and recurses once per round on the
 (k n, n - 1, d, d) stack of their leave-one-out sub-tuples, whose frames
-are gathered from the parents'.  Each tuple keeps its own trace recorder,
-stopping and stall rules, so the means and traces are those of the
-depth-first recursion.  A tuple that fails at any level fails the whole
-mean, so the first failure the lockstep order meets is raised at once.
+and round-0 distances are gathered from the parents'.  An inner level
+hands back the frames of its limits, which a level with s_1 = 1 adopts as
+its new frames, so the recursion decomposes no matrix that the depth-first
+one reads from an eigen cache.  Each tuple keeps its own stopping and
+stall rules, over arrays of spreads, and a trace recorder is filled from
+the spread history only for the top level and the first tuple that fails,
+so the means and traces are those of the depth-first recursion.  A tuple
+that fails at any level fails the whole mean, so the first failure the
+lockstep order meets is raised at once.
 """
 
 from __future__ import annotations
@@ -369,105 +374,148 @@ def _level_recorder(tol: float, max_rounds: int, name: str) -> TraceRecorder:
 
 
 @functools.cache
-def _index_sets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i < j of an n-tuple as two index arrays, and its leave-one-out
-    rows (row j lists the indices without j); cached, so read-only."""
-    sets = (*np.triu_indices(n, 1), np.array([[i for i in range(n) if i != j] for j in range(n)]))
+def _index_sets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs a < b of an n-tuple as two index arrays; its leave-one-out
+    rows (row m lists the indices without m); and, row m, the index among
+    the tuple's pairs of each pair of that sub-tuple, in its own a < b
+    order.  Cached, so read-only."""
+    i, j = np.triu_indices(n, 1)
+    rest = np.array([[m for m in range(n) if m != leave] for leave in range(n)])
+    pair_index = np.zeros((n, n), dtype=int)
+    pair_index[i, j] = np.arange(len(i))
+    sub_i, sub_j = np.triu_indices(n - 1, 1)
+    sets = (i, j, rest, pair_index[rest[:, sub_i], rest[:, sub_j]])
     for a in sets:
         a.flags.writeable = False
     return sets
 
 
-def _spreads(mats: np.ndarray, frames: _Frame) -> np.ndarray:
-    """max_{i<j} rho(P_i, P_j) of each tuple of a (k, n, d, d) stack, from
-    one eigvalsh over the pairs whitened by the frame of P_i."""
-    i, j, _ = _index_sets(mats.shape[1])
-    return frames[:, i].distances(mats[:, j]).max(axis=-1)
+def _replay(recorder: TraceRecorder, history: list[tuple[np.ndarray, np.ndarray]],
+            index: int) -> TraceRecorder:
+    """Record into a fresh level ``recorder`` the spreads of tuple ``index``,
+    round by round, from a level's ``history`` of (live tuples, their
+    spreads); the recorder raises at an exhausted round cap.  Tuple
+    ``index`` must be live in every round of the history."""
+    for rounds, (live, spread) in enumerate(history):
+        recorder.record(rounds, None, spread[np.searchsorted(live, index)])
+    return recorder
 
 
 def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
-                    recorders: list[TraceRecorder],
-                    accept_stagnation: bool = False) -> tuple[np.ndarray, int]:
+                    recorder: TraceRecorder, accept_stagnation: bool = False,
+                    distances: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, int, _Frame, list[tuple[np.ndarray, np.ndarray]]]:
     """Limits of one recursion level for k tuples in lockstep.
 
-    ``mats`` is a (k, n, d, d) stack of n-tuples with their ``frames`` and
-    one recorder per tuple (the level's tolerance and cap).  Each round
-    makes one inner call per chunk of leave-one-out sub-tuples
-    (``_partners``), one stacked geodesic step, one eigh for the new
-    frames and one eigvalsh for the spreads.  Returns the (k, d, d)
-    limits and the rounds the tuples completed.  A tuple that exhausts
-    its budget or stagnates, here or in a level below, fails the mean it
-    belongs to: its NonConvergenceError propagates as soon as it is met.
+    ``mats`` is a (k, n, d, d) stack of n-tuples with their ``frames``.
+    ``distances`` holds the pairwise distances rho(P_a, P_b), a < b in the
+    order of ``_index_sets``, of each tuple when the parent level has
+    measured them; they give the round-0 spreads.  ``recorder`` holds the
+    level's tolerance, round cap and name; the spreads, stall counters and
+    live tuples are kept in arrays, and a recorder is filled only for a
+    trace (``_replay``): the top level's, or that of the first tuple to
+    fail, which fails the mean it belongs to as soon as it is met, here or
+    in a level below.
+
+    Each round makes one inner call per chunk of leave-one-out sub-tuples
+    (``_partners``), one stacked geodesic step with one eigh for the new
+    frames, and one eigvalsh for the distances, which the next round's
+    sub-tuples take as theirs.  At s_1 = 1 the step lands on the partners
+    and the level adopts the frames the inner level hands back instead.
+    Otherwise the step builds the frames of all members but the last, all
+    the distances need, and the last member's waits until a tuple goes on
+    (at n = 2, the rare tuple not done in one round).  Returns the
+    (k, d, d) limits, the rounds the tuples completed, the frames of the
+    limits and the spread history.
     """
     k, n = mats.shape[:2]
+    i, j, _, _ = _index_sets(n)
+    if distances is None:
+        distances = frames[:, i].distances(mats[:, j])
     limits = np.empty((k,) + mats.shape[2:])
+    finished, finished_frames = [], []
     live = np.arange(k)  # the tuple index of each row still iterating
     stalls = np.zeros(k, dtype=int)
-    previous, spread = np.full(k, math.inf), _spreads(mats, frames)
+    previous = np.full(k, math.inf)
+    history = []
     finished_rounds = 0
     for rounds in count():
-        keep = []
-        for row, index in enumerate(live):
-            recorder = recorders[index]
-            going = recorder.record(rounds, None, spread[row])
-            if going:
-                # Roundoff floors the spread before very tight tolerances are
-                # met; detect the stall instead of burning the round budget.
-                stalls[row] = stalls[row] + 1 if spread[row] >= 0.99 * previous[row] else 0
-                going = stalls[row] < 2
-                if not going and not (accept_stagnation and spread[row] < _STAGNATION_SPREAD_BOUND):
-                    raise NonConvergenceError(
-                        f"{recorder.name} stagnated at spread {spread[row]:.3e} "
-                        f"above tolerance {recorder.tol}",
-                        trace=recorder.build(),
-                    )
-            if going:
-                keep.append(row)
-            else:
-                limits[index] = mats[row, 0]
-                finished_rounds += rounds
-        if not keep:
-            return limits, finished_rounds
-        if len(keep) < len(live):
-            live, mats, frames = live[keep], mats[keep], frames[keep]
-            stalls, spread = stalls[keep], spread[keep]
+        spread = distances.max(axis=-1)
+        history.append((live, spread))
+        going = spread > recorder.tol
+        if going.any() and recorder.exhausted(rounds):
+            _replay(recorder, history, live[going.argmax()])  # raises NonConvergenceError
+        # Roundoff floors the spread before very tight tolerances are met;
+        # detect the stall instead of burning the round budget.
+        stalls = np.where(spread >= 0.99 * previous, stalls + 1, 0)
+        stalled = going & (stalls >= 2)
+        if stalled.any():
+            failed = stalled & ~(accept_stagnation & (spread < _STAGNATION_SPREAD_BOUND))
+            if failed.any():
+                row = failed.argmax()
+                raise NonConvergenceError(
+                    f"{recorder.name} stagnated at spread {spread[row]:.3e} "
+                    f"above tolerance {recorder.tol}",
+                    trace=_replay(recorder, history, live[row]).build(),
+                )
+            going &= ~stalled
+        previous = spread
+        if not going.all():
+            done = ~going
+            limits[live[done]] = mats[done, 0]
+            finished.append(live[done])
+            finished_frames.append(frames[done, 0])
+            finished_rounds += rounds * int(done.sum())
+            if not going.any():
+                order = np.argsort(np.concatenate(finished))
+                return limits, finished_rounds, _Frame.concat(finished_frames)[order], history
+            live, mats, frames, distances = live[going], mats[going], frames[going], distances[going]
+            stalls, previous = stalls[going], previous[going]
+        if frames.shape[1] < n:  # the step built all frames but the last member's
+            frames = _Frame.concat([frames, _Frame(mats[:, -1:])], axis=1)
         if n == 2:
-            partners = mats[:, ::-1]
+            partners, partner_frames = mats[:, ::-1], frames[:, ::-1]
         else:
-            level = recorders[0]
-            partners = _partners(mats, frames, s_tuple[1:], level.tol, level.max_steps)
-        mats = frames.power_sandwich(partners, s_tuple[0])
-        frames = _Frame(mats)
-        previous, spread = spread, _spreads(mats, frames)
+            partners, partner_frames = _partners(mats, frames, distances, s_tuple[1:],
+                                                 recorder.tol, recorder.max_steps)
+        if s_tuple[0] == 1.0:
+            mats, frames = partners, partner_frames
+        else:
+            mats = frames.power_sandwich(partners, s_tuple[0])
+            frames = _Frame(mats[:, :-1])
+        distances = frames[:, i].distances(mats[:, j])
 
 
-def _partners(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
-              tol: float, max_rounds: int) -> np.ndarray:
+def _partners(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
+              s_tuple: tuple[float, ...], tol: float, max_rounds: int) -> tuple[np.ndarray, _Frame]:
     """The n leave-one-out means of each of k n-tuples, as a (k, n, d, d)
-    stack (sub-tuple i n + j leaves out P_j of tuple i).
+    stack (sub-tuple i n + j leaves out P_j of tuple i), and their frames.
 
-    The k n sub-tuples take their frames from the parents' and run in
-    consecutive chunks of at most ``_SLICE_BYTES`` of matrices, which
-    bounds the breadth-first state of the levels below: one chunk at
-    d = 3, one sub-tuple at a time at d = 128.  Inner means run at a
-    tighter tolerance so their error does not contaminate the outer
-    spread sequence near its own tolerance.
+    The k n sub-tuples take their frames and round-0 distances from the
+    parents' and run in consecutive chunks of at most ``_SLICE_BYTES`` of
+    matrices, which bounds the breadth-first state of the levels below:
+    one chunk at d = 3, one sub-tuple at a time at d = 128.  Inner means
+    run at a tighter tolerance so their error does not contaminate the
+    outer spread sequence near its own tolerance.
     """
     k, n = mats.shape[:2]
-    rows = np.arange(k).repeat(n)[:, None]
-    cols = np.tile(_index_sets(n)[2], (k, 1))
-    subs, sub_frames = mats[rows, cols], frames[rows, cols]
+    _, _, rest, pairs = _index_sets(n)
+    subs = mats[:, rest].reshape((k * n, n - 1) + mats.shape[2:])
+    sub_frames = frames[:, rest].reshape(k * n, n - 1)
+    sub_distances = distances[:, pairs].reshape(k * n, -1)
     inner_tol = max(1e-2 * tol, 1e-14)
     name = f"inner {n - 1}-matrix level of the recursive geometric mean"
     partners = np.empty((k * n,) + mats.shape[2:])
+    partner_frames = []
     start = 0
     for chunk in _slices(subs):
         stop = start + len(chunk)
-        recorders = [_level_recorder(inner_tol, max_rounds, name) for _ in chunk]
-        partners[start:stop], _ = _recursive_mean(
-            chunk, sub_frames[start:stop], s_tuple, recorders, accept_stagnation=True)
+        partners[start:stop], _, chunk_frames, _ = _recursive_mean(
+            chunk, sub_frames[start:stop], s_tuple, _level_recorder(inner_tol, max_rounds, name),
+            accept_stagnation=True, distances=sub_distances[start:stop])
+        partner_frames.append(chunk_frames)
         start = stop
-    return partners.reshape(mats.shape)
+    return partners.reshape(mats.shape), _Frame.concat(partner_frames).reshape(k, n)
 
 
 def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
@@ -491,5 +539,5 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
             f"parameter tuple has {len(params.s_tuple)} entries, need {n - 1}"
         )
     recorder = _level_recorder(tol, max_rounds, "recursive geometric mean")
-    limits, _ = _recursive_mean(mats, _Frame(mats), params.s_tuple, [recorder])
-    return SpdMatrix._frozen(limits[0]), recorder.build()
+    limits, _, _, history = _recursive_mean(mats, _Frame(mats), params.s_tuple, recorder)
+    return SpdMatrix._frozen(limits[0]), _replay(recorder, history, 0).build()

@@ -171,11 +171,15 @@ def _require_positive(*xs: float) -> None:
 
 
 def _arithmetic(x: float, y: float) -> float:
-    return 0.5 * (x + y)
+    """(x + y)/2, halved before the sum so that inputs near the float64
+    maximum do not overflow; halving is exact for normal floats."""
+    return 0.5 * x + 0.5 * y
 
 
 def _geometric(x: float, y: float) -> float:
-    return math.sqrt(x) * math.sqrt(y)
+    """sqrt(x) sqrt(y), which cannot overflow or underflow where sqrt(x y)
+    would; x itself when y = x, since sqrt(x)^2 need not round back to x."""
+    return float(x) if x == y else math.sqrt(x) * math.sqrt(y)
 
 
 def _harmonic(x: float, y: float) -> float:
@@ -381,7 +385,9 @@ def complex_ahm(z1: ComplexPolar, z2: ComplexPolar, tolerance: float = DEFAULT_T
                 max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ComplexPolar:
     """Arithmetic-harmonic mean of two complex numbers in polar form.
 
-    Iterates a <- (a + h)/2, h <- 2ah/(a + h); on the principal branch
+    Iterates a' = a/2 + h/2, h' = a (h / a'), which is 2ah/(a + h) without
+    forming a + h or a h, so moduli near the float64 maximum do not
+    overflow; on the principal branch
     (|theta_1 - theta_2| < pi required) the limit is
     sqrt(r_1 r_2) e^{i (theta_1 + theta_2)/2}.
     """
@@ -393,9 +399,9 @@ def complex_ahm(z1: ComplexPolar, z2: ComplexPolar, tolerance: float = DEFAULT_T
     a, h = z1.to_complex(), z2.to_complex()
     t = 0
     while recorder.record(t, None, abs(a - h) / max(abs(a), abs(h))):
-        s = a + h
-        if s == 0:
+        mid = 0.5 * a + 0.5 * h
+        if mid == 0:
             raise NumericError("complex AHM iteration hit a + h = 0")
-        a, h = 0.5 * s, 2.0 * a * h / s
+        a, h = mid, a * (h / mid)
         t += 1
-    return ComplexPolar.from_complex(0.5 * (a + h))
+    return ComplexPolar.from_complex(0.5 * a + 0.5 * h)

@@ -20,7 +20,8 @@ matrix AHM builds that frame once per iteration and reads its harmonic
 step A X^{-1} B off the same G.  A walk of geodesic steps moves its frame
 with one LAPACK ``dsyevd`` and one ``dgesv`` per step.  A frame of a
 stack of bases, from one eigh, pairs each base with its own target: the
-recursive means step and measure all their tuples at once through it.
+recursive means step and measure all their tuples at once through it, and
+hand the frames of their limits back up a level.
 An entry point taking two or n matrices validates them once into one
 ``(n, d, d)`` array (``_stack``), the only dimension check; a fan-out
 from one base over it calls the eigensolver once per slice of at most
@@ -328,8 +329,9 @@ class _Frame:
     ``(..., d, d)`` stack of bases, from one eigh in the descending order
     of ``SpdMatrix.eigen``, so each base's roots are the ones its
     SpdMatrix would give.  Its methods then pair the i-th base with the
-    i-th matrix of a matching stack, and indexing it selects bases
-    without decomposing them again.
+    i-th matrix of a matching stack; indexing it selects bases, and
+    ``reshape`` and ``concat`` rearrange and join such stacks, without
+    decomposing them again.
 
     ``_Frame.cholesky`` builds the frame of one ``(d, d)`` array from its
     Cholesky factor instead, F = L and G = L^{-1} (LAPACK trtri): one
@@ -381,13 +383,34 @@ class _Frame:
         out._base = None
         return out
 
-    def __getitem__(self, index) -> "_Frame":
-        """The frames of the bases ``index`` selects from a stack frame."""
-        out = object.__new__(_Frame)
-        out._F = out._Ft = self._F[index]
-        out._G = out._Gt = self._G[index]
+    @classmethod
+    def _of_roots(cls, F: np.ndarray, G: np.ndarray) -> "_Frame":
+        out = object.__new__(cls)
+        out._F = out._Ft = F
+        out._G = out._Gt = G
         out._base = None
         return out
+
+    def __getitem__(self, index) -> "_Frame":
+        """The frames of the bases ``index`` selects from a stack frame."""
+        return _Frame._of_roots(self._F[index], self._G[index])
+
+    def reshape(self, *shape: int) -> "_Frame":
+        """The stack frame with its bases arranged in ``shape``."""
+        return _Frame._of_roots(self._F.reshape(shape + self._F.shape[-2:]),
+                                self._G.reshape(shape + self._G.shape[-2:]))
+
+    @classmethod
+    def concat(cls, frames: Sequence["_Frame"], axis: int = 0) -> "_Frame":
+        """One stack frame of the bases of several, joined along ``axis``:
+        the stacks of frames a level hands back and completes."""
+        return cls._of_roots(np.concatenate([f._F for f in frames], axis=axis),
+                             np.concatenate([f._G for f in frames], axis=axis))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The arrangement of the bases of a stack frame; () for one base."""
+        return self._F.shape[:-2]
 
     @property
     def dimension(self) -> int:

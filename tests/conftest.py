@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from spdmeans import SpdMatrix
+from spdmeans import SpdMatrix, spd_core
 from spdmeans.spd_core import _Frame, _spectral, _symmetrize
 
 
@@ -50,6 +52,24 @@ def psd_decrement(P: SpdMatrix, rng: np.random.Generator, frac: float = 0.3) -> 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_decompositions(monkeypatch) -> Counter:
+    """Counts, under the keys "eigh" and "eigvalsh", of the matrices that
+    ``spd_core._eigh`` and ``spd_core._eigvalsh`` decompose from the
+    fixture's set-up on: one per matrix, however they are stacked.  Clear
+    the counter to start a new count."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh"):
+        kernel = getattr(spd_core, f"_{name}")
+
+        def counted(a, kernel=kernel, name=name):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))
+            return kernel(a)
+
+        monkeypatch.setattr(spd_core, f"_{name}", counted)
+    return counts
 
 
 #: One line per acceptance criterion, filled by tests/test_acceptance.py.

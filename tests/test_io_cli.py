@@ -192,6 +192,14 @@ def test_scalar_power_of_equal_inputs_returns_them(capsys):
     assert capsys.readouterr().out.strip() == "1e+200"
 
 
+@pytest.mark.parametrize("kind, expected", [("arithmetic", 1.25e308),
+                                            ("agm", 1.2373402181181523e308),
+                                            ("ahm", math.sqrt(1.5) * 1e308)])
+def test_scalar_means_near_the_float_maximum(capsys, kind, expected):
+    assert main(["scalar", "--kind", kind, "--x", "1e308", "--y", "1.5e308"]) == 0
+    assert float(capsys.readouterr().out.split()[0]) == pytest.approx(expected, rel=1e-15)
+
+
 def test_scalar_json_output(capsys):
     assert main(["scalar", "--kind", "agm", "--x", "1", "--y", "2",
                  "--output", "json"]) == 0

@@ -582,6 +582,37 @@ def test_lockstep_recursion_matches_sequential_reference(seed, n, d, kind, tol, 
     _assert_same_outcome(mats, getattr(RecursiveMeanParams, kind)(n), tol, max_rounds)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_four_level_recursion_matches_sequential_reference(seed):
+    # n = 5 hands the parent's distances down two levels; ALM with three
+    # rounds fails and replays the first failing sub-tuple's spreads.
+    srng = np.random.default_rng(seed)
+    mats = [random_spd(srng, 2) for _ in range(5)]
+    _assert_same_outcome(mats, RecursiveMeanParams.bmp(5), 1e-10)
+    with pytest.raises(NonConvergenceError):
+        recursive_geometric_mean(mats, RecursiveMeanParams.alm(5), tol=1e-10, max_rounds=3)
+    _assert_same_outcome(mats, RecursiveMeanParams.alm(5), 1e-10, max_rounds=3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind, n", [("alm", 4), ("bmp", 5)])
+def test_lockstep_decomposes_no_more_than_depth_first(kind, n, seed, count_decompositions):
+    # The inner levels hand back the frames of their limits and the parents
+    # hand down their distances, which is what the depth-first recursion
+    # gets from each SpdMatrix's eigen cache.
+    srng = np.random.default_rng(seed)
+    mats = [random_spd(srng, 3) for _ in range(n)]
+    params = getattr(RecursiveMeanParams, kind)(n)
+    count_decompositions.clear()
+    mean, trace = recursive_geometric_mean(mats, params, tol=1e-10)
+    lockstep = dict(count_decompositions)
+    count_decompositions.clear()
+    expected, expected_trace = _sequential_mean(mats, params, 1e-10)
+    assert np.array_equal(mean.array, expected.array) and trace == expected_trace
+    assert lockstep["eigh"] <= count_decompositions["eigh"]
+    assert lockstep["eigvalsh"] <= count_decompositions["eigvalsh"]
+
+
 def test_chunked_recursion_is_bit_identical(rng, monkeypatch):
     mats = [random_spd(rng, 3) for _ in range(4)]
     params = RecursiveMeanParams.bmp(4)

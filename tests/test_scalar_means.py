@@ -107,11 +107,7 @@ def test_power_mean_zero_cutoff_is_continuous():
 @pytest.mark.parametrize("p", [0.0, 1e-9, 1e-3, 0.5, 2.0, -1.5, 30.0])
 @pytest.mark.parametrize("x", [1e-300, 1e-200, 1.0, 1e200, 1e300])
 def test_power_mean_is_reflexive_and_finite_at_extreme_magnitudes(p, x):
-    if abs(p) < POWER_MEAN_P_CUTOFF:
-        # sqrt(x) sqrt(x) rounds twice
-        assert power_mean(p, x, x) == pytest.approx(x, rel=2.3e-16)
-    else:
-        assert power_mean(p, x, x) == x
+    assert power_mean(p, x, x) == x
     for y in (3.0 * x, x / 3.0):
         value = power_mean(p, x, y)
         assert min(x, y) <= value <= max(x, y)
@@ -307,6 +303,33 @@ def test_extreme_magnitudes_do_not_overflow():
     assert 1e-200 < value < 1e-190
     assert pythagorean_mean("geometric", 1e200, 4e200) == pytest.approx(2e200, rel=1e-12)
     assert pythagorean_mean("harmonic", 1e300, 1e300) == pytest.approx(1e300, rel=1e-12)
+
+
+def test_means_halve_before_adding_near_the_float_maximum():
+    # x + y overflows; x/2 + y/2 does not, and is exact for normal floats
+    x, y = 1e308, 1.5e308
+    root = math.sqrt(x) * math.sqrt(y)
+    assert pythagorean_mean("arithmetic", x, y) == 1.25e308
+    assert agm(x, y)[0] == pytest.approx(1e308 * agm(1.0, 1.5)[0], rel=1e-15)
+    assert ahm(x, y)[0] == pytest.approx(root, rel=1e-15)
+    z = complex_ahm(ComplexPolar(x, 0.0), ComplexPolar(y, 0.0))
+    assert (z.modulus, z.argument) == (pytest.approx(root, rel=1e-15), 0.0)
+    z = complex_ahm(ComplexPolar(x, 0.4), ComplexPolar(y, -0.2))
+    assert z.modulus == pytest.approx(root, rel=1e-13)
+    assert z.argument == pytest.approx(0.1, abs=1e-13)
+
+
+# of these, sqrt(x) sqrt(x) rounds back to x only at 1.1 and 1e-300
+@pytest.mark.parametrize("x", [1.1, 1.3, 2.0, 3.0, 5.0, 7.0, 10.0, 0.3, 1e-300, 1e300])
+def test_geometric_means_are_reflexive(x):
+    assert pythagorean_mean("geometric", x, x) == x
+    assert agm(x, x)[0] == x
+    assert ahm(x, x)[0] == x
+
+
+def test_geometric_mean_of_reciprocal_extremes():
+    # max(x, y) sqrt(min/max) would underflow to 0 here
+    assert pythagorean_mean("geometric", 1e-300, 1e300) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_agm_ahm_order_estimates(rng):
