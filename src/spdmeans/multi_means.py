@@ -401,6 +401,16 @@ def _replay(recorder: TraceRecorder, history: list[tuple[np.ndarray, np.ndarray]
     return recorder
 
 
+def _in_tuple_order(finished: list[tuple[np.ndarray, np.ndarray, _Frame]]) -> tuple[np.ndarray, _Frame]:
+    """The limits and their frames, in tuple order, from the (tuples,
+    limits, frames) of each round in which some tuples finished."""
+    if len(finished) == 1:  # all finished in one round, so in tuple order
+        return finished[0][1:]
+    tuples, limits, frames = zip(*finished)
+    order = np.argsort(np.concatenate(tuples))
+    return np.concatenate(limits)[order], _Frame.concat(frames)[order]
+
+
 def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
                     recorder: TraceRecorder, accept_stagnation: bool = False,
                     distances: np.ndarray | None = None
@@ -432,8 +442,7 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
     i, j, _, _ = _index_sets(n)
     if distances is None:
         distances = frames[:, i].distances(mats[:, j])
-    limits = np.empty((k,) + mats.shape[2:])
-    finished, finished_frames = [], []
+    finished = []  # (tuples, limits, frames of the limits) per round that ended some
     live = np.arange(k)  # the tuple index of each row still iterating
     stalls = np.zeros(k, dtype=int)
     previous = np.full(k, math.inf)
@@ -443,34 +452,35 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
         spread = distances.max(axis=-1)
         history.append((live, spread))
         going = spread > recorder.tol
-        if going.any() and recorder.exhausted(rounds):
-            _replay(recorder, history, live[going.argmax()])  # raises NonConvergenceError
-        # Roundoff floors the spread before very tight tolerances are met;
-        # detect the stall instead of burning the round budget.
-        stalls = np.where(spread >= 0.99 * previous, stalls + 1, 0)
-        stalled = going & (stalls >= 2)
-        if stalled.any():
-            failed = stalled & ~(accept_stagnation & (spread < _STAGNATION_SPREAD_BOUND))
-            if failed.any():
-                row = failed.argmax()
-                raise NonConvergenceError(
-                    f"{recorder.name} stagnated at spread {spread[row]:.3e} "
-                    f"above tolerance {recorder.tol}",
-                    trace=_replay(recorder, history, live[row]).build(),
-                )
-            going &= ~stalled
-        previous = spread
-        if not going.all():
+        left = int(np.count_nonzero(going))
+        if left:
+            if recorder.exhausted(rounds):
+                _replay(recorder, history, live[going.argmax()])  # raises NonConvergenceError
+            # Roundoff floors the spread before very tight tolerances are met;
+            # detect the stall instead of burning the round budget.
+            stalls = np.where(spread >= 0.99 * previous, stalls + 1, 0)
+            stalled = going & (stalls >= 2)
+            if stalled.any():
+                failed = stalled & ~(accept_stagnation & (spread < _STAGNATION_SPREAD_BOUND))
+                if failed.any():
+                    row = failed.argmax()
+                    raise NonConvergenceError(
+                        f"{recorder.name} stagnated at spread {spread[row]:.3e} "
+                        f"above tolerance {recorder.tol}",
+                        trace=_replay(recorder, history, live[row]).build(),
+                    )
+                going &= ~stalled
+                left = int(np.count_nonzero(going))
+        if left < len(live):
             done = ~going
-            limits[live[done]] = mats[done, 0]
-            finished.append(live[done])
-            finished_frames.append(frames[done, 0])
-            finished_rounds += rounds * int(done.sum())
-            if not going.any():
-                order = np.argsort(np.concatenate(finished))
-                return limits, finished_rounds, _Frame.concat(finished_frames)[order], history
+            finished.append((live[done], mats[done, 0], frames[done, 0]))
+            finished_rounds += rounds * (len(live) - left)
+            if not left:
+                limits, limit_frames = _in_tuple_order(finished)
+                return limits, finished_rounds, limit_frames, history
             live, mats, frames, distances = live[going], mats[going], frames[going], distances[going]
-            stalls, previous = stalls[going], previous[going]
+            stalls, spread = stalls[going], spread[going]
+        previous = spread
         if frames.shape[1] < n:  # the step built all frames but the last member's
             frames = _Frame.concat([frames, _Frame(mats[:, -1:])], axis=1)
         if n == 2:

@@ -613,6 +613,22 @@ def test_lockstep_decomposes_no_more_than_depth_first(kind, n, seed, count_decom
     assert lockstep["eigvalsh"] <= count_decompositions["eigvalsh"]
 
 
+def test_recursive_level_counts_rounds_in_a_python_int(rng, monkeypatch):
+    # The benchmark tracer adds result[1] to counters it writes as JSON.
+    mats = [random_spd(rng, 3) for _ in range(4)]
+    counts = []
+    lockstep = multi_means._recursive_mean
+
+    def spy(*args, **kwargs):
+        result = lockstep(*args, **kwargs)
+        counts.append(result[1])
+        return result
+
+    monkeypatch.setattr(multi_means, "_recursive_mean", spy)
+    recursive_geometric_mean(mats, RecursiveMeanParams.bmp(4))
+    assert counts and all(type(rounds) is int for rounds in counts)
+
+
 def test_chunked_recursion_is_bit_identical(rng, monkeypatch):
     mats = [random_spd(rng, 3) for _ in range(4)]
     params = RecursiveMeanParams.bmp(4)
