@@ -51,7 +51,6 @@ from .spd_core import (
     _assemble,
     _Frame,
     _ordered_sum,
-    _rho,
     _slices,
     _spectral,
     _stack,
@@ -300,13 +299,12 @@ def riemannian_circumcenter(Ps, steps: int = CIRCUMCENTER_DEFAULT_STEPS) -> tupl
     if len(stack) == 1:
         recorder.record(0, None, 0.0)
         return Ps[0], recorder.build()
-    walk, parts = _Frame(Ps[0]), _slices(stack)
+    walk = _Frame(Ps[0])
     for t in range(1, steps + 1):
-        mu, vecs = (np.concatenate(spectra) for spectra in zip(*map(walk.spectra, parts)))
-        distances = _rho(mu)
+        distances = walk.fan_out(stack)
         far = int(np.argmax(distances))
         recorder.record(t - 1, None, float(distances[far]))
-        walk.advance(mu[far], vecs[far], 1.0 / (t + 1))
+        walk.step(stack[far], 1.0 / (t + 1))
     recorder.record(steps, None, float(walk.fan_out(stack).max()))
     return walk.base(), recorder.build()
 
@@ -322,9 +320,9 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
     Sweep k walks once through the inputs, stepping from the current
     iterate toward P_i by t = min(1, lambda_k / (n rho(X, P_i))); steps
     toward a point the iterate already sits on (rho below 1e-14) are
-    skipped.  rho(X, P_i) and the step come from one eigendecomposition
-    of P_i whitened through the walk's factor of X, so the guard measures
-    rho at the iterate X, not at P_i.  The schedule must be finite and
+    skipped.  rho(X, P_i) and the step come from one generalized
+    eigensolve of the pencil (P_i, X), so the guard measures rho at the
+    iterate X, not at P_i.  The schedule must be finite and
     positive and satisfy sum lambda_k = inf and sum lambda_k^2 < inf
     (default lambda_k = 1/(k+1)).  The trace records the median objective
     (1/n) sum_i rho(X, P_i) after each sweep.
@@ -345,16 +343,16 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
     n = len(stack)
     walk = _Frame(Ps[0])
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
+
+    def t_of(dist: float) -> float | None:  # this sweep's step at rho(X, P_i); None skips
+        return None if dist < MEDIAN_DISTANCE_GUARD else min(1.0, lam / (n * dist))
+
     for k in range(sweeps):
         lam = float(schedule(k))
         if not (math.isfinite(lam) and lam > 0):
             raise DomainError(f"lambda schedule must be finite and positive, got {lam} at sweep {k}")
         for P in stack:
-            mu, vecs = walk.spectra(P)
-            dist = float(_rho(mu))
-            if dist < MEDIAN_DISTANCE_GUARD:
-                continue
-            walk.advance(mu, vecs, min(1.0, lam / (n * dist)))
+            walk.step(P, t_of)
         objective = sum(walk.fan_out(stack).tolist()) / n
         recorder.record(k + 1, None, objective)
     return walk.base(), recorder.build(iterations_used=sweeps)

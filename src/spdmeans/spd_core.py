@@ -6,32 +6,26 @@ matrix.  Its private kernels take one ``(d, d)`` array or an
 and ``.mT``, so a stack costs one ``eigh``/``eigvalsh`` call for all of
 its matrices and a single pair goes through the same code: ``_assemble``
 (U f(lambda) U^T) and ``_spectral`` (the same from a fresh
-decomposition).  The one eigendecomposition entry, ``_eigh``, branches
-only on rank: a single ``(d, d)`` matrix goes straight to LAPACK
-``dsyevd``, the routine numpy's ``eigh`` runs, without numpy's per-call
-overhead, and a stack goes to numpy's batched ``eigh``.  Every eigensolver
-failure surfaces as NumericError.  Everything relative to
-a base X goes through one ``_Frame``: X = F F^T with G = F^{-1}, built
-once per base, whitening P to G P G^T for the distance rho(X, P) and the
-geodesic X #_t P = F (G P G^T)^t F^T, and lifting a tangent S to
-F exp(S) F^T for the exp map.  F is the symmetric root X^{1/2}, or the
-Cholesky factor of X when no eigendecomposition of X is needed: the
-matrix AHM builds that frame once per iteration and reads its harmonic
-step A X^{-1} B off the same G.  A walk of geodesic steps moves its frame
-with one LAPACK ``dsyevd`` and one ``dgesv`` per step.  A frame of a
-stack of bases, from one eigh, pairs each base with its own target: the
-recursive means step and measure all their tuples at once through it, and
-hand the frames of their limits back up a level.
-An entry point taking two or n matrices validates them once into one
-``(n, d, d)`` array (``_stack``), the only dimension check; a fan-out
-from one base over it calls the eigensolver once per slice of at most
+decomposition).  The standard eigendecomposition entry, ``_eigh``, sends
+a single ``(d, d)`` matrix straight to LAPACK ``dsyevd``, the routine
+numpy's ``eigh`` runs, without numpy's per-call overhead, and a stack to
+numpy's batched ``eigh``; a walk's step is one ``dsygvd``
+(``_generalized_eigh``).  Every eigensolver failure surfaces as
+NumericError.  Everything relative to a base X goes through one
+``_Frame`` (a factor F of X and G = F^{-1}; see its docstring): the
+distance, the geodesic, the exp map, the walks, and the recursive means,
+which step and measure all their tuples at once through a frame of a
+stack of bases.
+An entry point taking n matrices validates them once into one
+``(n, d, d)`` array (``_stack``); a pair entry point that needs no stack
+runs the same check, ``_check_dimensions``, the only one.  A fan-out
+from one base over a stack calls the eigensolver once per slice of at most
 ``_SLICE_BYTES``: once for up to 1,820 matrices at d = 3.  The weighted
 arithmetic, harmonic, log-Euclidean and power means are one path,
 f^{-1}(sum_i w_i f(P_i)) (``_quasi_arithmetic``).  On them, behind the
 validated :class:`SpdMatrix` at the boundary, sit spectral matrix
-functions, the affine-invariant Riemannian distance, the
-weighted-geometric-mean geodesic, the Loewner order, and the
-S-divergence.
+functions, the affine-invariant Riemannian distance, the weighted
+geometric mean geodesic, the Loewner order, and the S-divergence.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dsyevd, dtrtri
+from scipy.linalg.lapack import dsyevd, dsygvd, dtrtri
 
 from .errors import DefinitenessError, DomainError, NumericError, ShapeError
 
@@ -81,6 +75,16 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
+
+
+def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the pencil of a symmetric (d, d) ``a`` and an
+    SPD ``b``, a V = b V diag(mu) with V^T b V = I, from LAPACK dsygvd at its
+    defaults (itype 1, eigenvectors, lower triangles); NumericError on failure."""
+    mu, vecs, info = dsygvd(a, b)
+    if info != 0:
+        raise NumericError(f"generalized eigendecomposition failed (LAPACK info {info})")
+    return mu, vecs
 
 
 def _descending_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,18 +232,22 @@ def _slices(stack: np.ndarray) -> list[np.ndarray]:
     return [stack[i:i + step] for i in range(0, len(stack), step)]
 
 
-def _stack(Ps: Iterable[SpdMatrix], *others: SpdMatrix) -> np.ndarray:
-    """The matrices of ``Ps`` as one (n, d, d) array, once checked to be at
-    least one and to share their dimension with each other and with
-    ``others`` (numbered after them): the one place where matrices become a
-    stack and the one dimension check, so numpy never sees ragged shapes."""
-    Ps = list(Ps)
+def _check_dimensions(Ps: list[SpdMatrix], *others: SpdMatrix) -> None:
+    """The one dimension check: ``Ps`` holds a matrix, and all of them and
+    ``others`` (numbered after them) share one dimension."""
     if not Ps:
         raise DomainError("need at least one matrix")
     d = Ps[0].dimension
     for i, P in enumerate(Ps + list(others)):
         if P.dimension != d:
             raise ShapeError(f"matrix {i} has dimension {P.dimension}, expected {d}")
+
+
+def _stack(Ps: Iterable[SpdMatrix], *others: SpdMatrix) -> np.ndarray:
+    """The matrices of ``Ps``, checked by ``_check_dimensions``, as one
+    (n, d, d) array: the one place where matrices become a stack."""
+    Ps = list(Ps)
+    _check_dimensions(Ps, *others)
     return np.stack([P.array for P in Ps])
 
 
@@ -306,14 +314,6 @@ def spd_inverse(P: SpdMatrix) -> SpdMatrix:
     return SpdMatrix._trusted(matrix_function(P, lambda x: 1.0 / x))
 
 
-@functools.cache
-def _identity(d: int) -> np.ndarray:
-    """The read-only d x d identity, the right-hand side of ``_Frame``'s inverse."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
 class _Frame:
     """A factor F of a base X = F F^T and G = F^{-1}: the whitening behind
     every base-relative operation.
@@ -340,19 +340,14 @@ class _Frame:
     The matrix AHM builds one per iteration.
 
     A walk of geodesic steps (the inductive, Holbrook, circumcenter and
-    median iterations) moves the frame: with (mu, V) the whitened
-    spectrum of P, ``advance`` sets F <- (F V) diag(mu^{t/2}), one eigh
-    per step where ``geodesic`` takes two, and the same mu gives rho(M, P).
-    G is recomputed by inversion after each step; updating it
-    multiplicatively drifts (over 10^4 inductive steps at d = 3,
-    ||G F - I|| reached 1.1e-13 that way and stayed at 3e-16 with
-    inversion).  A single matrix's step calls LAPACK directly: ``dsyevd``
-    for the whitened spectrum and ``dgesv`` against a cached identity for
-    G, the routines behind numpy's ``eigh`` and ``inv``; a stack of bases
-    goes through numpy's batched ``eigh``.
+    median iterations) moves a one-base frame with ``step``: the pencil
+    solve P V = X V diag(mu), V^T X V = I gives the whitened spectrum mu
+    of P, so rho(X, P) = ``_rho(mu)``, and sets F <- (X V) diag(mu^{t/2})
+    with inverse G = diag(mu^{-t/2}) V^T, formed only when a whitening
+    reads it, and X <- F F^T for the next solve.
     """
 
-    __slots__ = ("_F", "_Ft", "_G", "_Gt", "_base")
+    __slots__ = ("_F", "_Ft", "_M", "_inverse", "_pencil", "_base")
 
     def __init__(self, base: SpdMatrix | np.ndarray):
         """Frame of an SpdMatrix (cached decomposition) or of each matrix of
@@ -361,8 +356,9 @@ class _Frame:
         lam, vecs = base.eigen() if is_matrix else _descending_eigh(base)
         root = np.sqrt(lam)
         self._F = self._Ft = _assemble(vecs, root)
-        self._G = self._Gt = _assemble(vecs, root, divide=True)
-        self._base = base if is_matrix else None
+        G = _assemble(vecs, root, divide=True)
+        self._inverse = (G, G)
+        self._M, self._base = (base.array, base) if is_matrix else (base, None)
 
     @classmethod
     def cholesky(cls, base: np.ndarray) -> "_Frame":
@@ -379,17 +375,29 @@ class _Frame:
         if info != 0:
             raise NumericError(f"triangular inverse failed (LAPACK info {info})")
         out = object.__new__(cls)
-        out._F, out._Ft, out._G, out._Gt = L, L.T, G, G.T
-        out._base = None
+        out._F, out._Ft, out._inverse = L, L.T, (G, G.T)
+        out._M, out._base = base, None
         return out
 
     @classmethod
     def _of_roots(cls, F: np.ndarray, G: np.ndarray) -> "_Frame":
         out = object.__new__(cls)
         out._F = out._Ft = F
-        out._G = out._Gt = G
-        out._base = None
+        out._inverse = (G, G)
+        out._M = out._base = None
         return out
+
+    def _whitener(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, G^T), formed from the last step's solve on first use."""
+        if self._inverse is None:
+            vecs, half = self._pencil
+            G = (vecs / half).T
+            self._inverse = (G, G.T)
+        return self._inverse
+
+    @property
+    def _G(self) -> np.ndarray:
+        return self._whitener()[0]
 
     def __getitem__(self, index) -> "_Frame":
         """The frames of the bases ``index`` selects from a stack frame."""
@@ -418,7 +426,8 @@ class _Frame:
 
     def whiten(self, Ps: np.ndarray) -> np.ndarray:
         """G P G^T for a (d, d) P or each matrix of a stack."""
-        return _symmetrize(self._G @ Ps @ self._Gt)
+        G, Gt = self._whitener()
+        return _symmetrize(G @ Ps @ Gt)
 
     def lift(self, Ss: np.ndarray) -> np.ndarray:
         """F S F^T for a (d, d) S or each matrix of a stack; not yet
@@ -446,31 +455,31 @@ class _Frame:
     def inverse_sandwich(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """A X^{-1} B = (G A)^T (G B) for a symmetric (d, d) A and a (d, d) B;
         not symmetrized."""
-        return (self._G @ A).T @ (self._G @ B)
+        G = self._G
+        return (G @ A).T @ (G @ B)
 
     def fan_out(self, stack: np.ndarray) -> np.ndarray:
         """rho(X, P) for every matrix of an (n, d, d) stack, one eigvalsh per slice."""
         return np.concatenate([self.distances(part) for part in _slices(stack)])
 
-    def advance(self, mu: np.ndarray, vecs: np.ndarray, t: float) -> None:
-        """Move the base of a one-base frame to X #_t P, given the whitened
-        spectrum of P from ``spectra``.  Raises NumericError if the moved
-        factor is singular."""
-        F = (self._F @ vecs) * np.power(mu, 0.5 * t)
-        *_, G, info = dgesv(F, _identity(len(F)))
-        if info != 0:
-            raise NumericError(f"moved frame is singular (LAPACK info {info})")
-        self._F, self._Ft, self._G, self._Gt = F, F.T, G, G.T
-        self._base = None
-
-    def step(self, P: np.ndarray, t: float) -> None:
-        """Move the base to X #_t P for a (d, d) array P."""
-        self.advance(*self.spectra(P), t)
+    def step(self, P: np.ndarray, t: float | Callable[[float], float | None]) -> None:
+        """Move the base X of a one-base frame to X #_t P for a (d, d) array
+        P.  ``t`` may instead be a function of rho(X, P), read off the same
+        solve, giving the parameter or None to stay.  Raises NumericError if
+        the solve fails or overflows."""
+        mu, vecs = _generalized_eigh(P, self._M)
+        if callable(t) and (t := t(float(_rho(mu)))) is None:
+            return
+        half = np.power(_positive(mu), 0.5 * t)
+        F = (self._M @ vecs) * half
+        self._F, self._Ft, self._M = F, F.T, F @ F.T
+        self._inverse, self._pencil, self._base = None, (vecs, half), None
 
     def base(self) -> SpdMatrix:
-        """The base F F^T; the matrix the frame was built from before any step."""
+        """The base of a one-base frame: the matrix it was built from, or
+        the product F F^T its last step formed for the next solve."""
         if self._base is None:
-            self._base = SpdMatrix._trusted(self._F @ self._Ft)
+            self._base = SpdMatrix._trusted(self._M)
         return self._base
 
 
@@ -480,7 +489,8 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
     rho(P1, P2) = || log(P1^{-1/2} P2 P1^{-1/2}) ||_F, evaluated as the
     root-sum-square of the logs of the whitened eigenvalues.
     """
-    return float(_Frame(P1).distances(_stack([P1, P2])[1]))
+    _check_dimensions([P1, P2])
+    return float(_Frame(P1).distances(P2.array))
 
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
@@ -495,7 +505,7 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
     t is arc length: rho(geodesic(X, Y, t), X) = t * rho(X, Y).
     Only the segment t in [0, 1] is supported.
     """
-    _stack([X, Y])
+    _check_dimensions([X, Y])
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter must lie in [0, 1], got {t}")
     if t == 0.0:
@@ -563,8 +573,8 @@ def s_divergence(X: SpdMatrix, Y: SpdMatrix) -> float:
     log det((X+Y)/2) - (log det X + log det Y)/2; nonnegative, symmetric,
     zero exactly on the diagonal X = Y.
     """
-    midpoint = weighted_arithmetic([X, Y], WeightVector.uniform(2))
-    sign, logdet_mid = np.linalg.slogdet(midpoint.array)
+    _check_dimensions([X, Y])
+    sign, logdet_mid = np.linalg.slogdet(0.5 * X.array + 0.5 * Y.array)
     if sign <= 0:
         raise NumericError("midpoint matrix lost positive definiteness")
     logdet_x = float(np.sum(np.log(X.eigen()[0])))

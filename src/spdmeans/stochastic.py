@@ -14,7 +14,7 @@ substreams derive from (seed, trial index); no global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
@@ -22,9 +22,9 @@ import numpy as np
 
 from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
-from .multi_means import _residual
+from .multi_means import _weighted_log_sum
 from .scalar_means import QuasiArithmeticGenerator
-from .spd_core import SpdMatrix, _Frame, _slices, _spectral, _stack, _symmetrize
+from .spd_core import SpdMatrix, _Frame, _rho, _slices, _spectral, _stack, _symmetrize
 
 #: Tangent samples are clipped to this many standard deviations, which
 #: keeps the sampling distribution inside a bounded support.
@@ -209,8 +209,10 @@ def lln_experiment(center: SpdMatrix, scale: float, counts: Sequence[int],
         estimate, trace = _inductive_walk(batch[order], center, iter(sorted(set(counts))))
         by_step = {s.step: s.error for s in trace.steps}
         errors.append(tuple(by_step[c] for c in counts))
-        residuals.append(_residual(center_frame, batch))
-        var_center.append(_variance(center_frame, batch))
+        # one whitening at the center: ``_residual``'s sum, and the variance
+        tangent, spectra = _weighted_log_sum(center_frame, batch, np.ones(len(batch)))
+        residuals.append(float(np.linalg.norm(tangent) / len(batch)))
+        var_center.append(float(np.mean(np.concatenate([_rho(mu) for mu, _ in spectra]) ** 2)))
         var_estimate.append(_variance(_Frame(estimate), batch))
     medians = tuple(float(np.median([row[i] for row in errors]))
                     for i in range(len(counts)))
@@ -283,19 +285,9 @@ class QaExperimentReport:
     trial_means: tuple[float, ...] = field(repr=False, default=())
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": "clt",
-            "generator": self.generator,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "empirical_mean": self.empirical_mean,
-            "analytic_expectation": self.analytic_expectation,
-            "empirical_clt_variance": self.empirical_clt_variance,
-            "analytic_clt_variance": self.analytic_clt_variance,
-        }
+        """Every field but ``trial_means``, in declaration order."""
+        return {"experiment": "clt", **{f.name: getattr(self, f.name) for f in fields(self)
+                                        if f.name != "trial_means"}}
 
 
 def qa_expectation_experiment(gen: QuasiArithmeticGenerator, distribution: Lognormal,

@@ -56,17 +56,18 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def count_decompositions(monkeypatch) -> Counter:
-    """Counts, under the keys "eigh" and "eigvalsh", of the matrices that
-    ``spd_core._eigh`` and ``spd_core._eigvalsh`` decompose from the
-    fixture's set-up on: one per matrix, however they are stacked.  Clear
-    the counter to start a new count."""
+    """Counts, under the keys "eigh", "eigvalsh" and "generalized_eigh", of
+    the matrices that ``spd_core._eigh`` and ``spd_core._eigvalsh``
+    decompose and the pencils that ``spd_core._generalized_eigh`` solves
+    from the fixture's set-up on: one per matrix, however they are
+    stacked.  Clear the counter to start a new count."""
     counts = Counter()
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "generalized_eigh"):
         kernel = getattr(spd_core, f"_{name}")
 
-        def counted(a, kernel=kernel, name=name):
+        def counted(a, *rest, kernel=kernel, name=name):
             counts[name] += int(np.prod(np.shape(a)[:-2]))
-            return kernel(a)
+            return kernel(a, *rest)
 
         monkeypatch.setattr(spd_core, f"_{name}", counted)
     return counts

@@ -11,13 +11,16 @@ home: only ``spd_core._Frame`` inverts a matrix, full or triangular
 assembles U diag(lambda)^{-1} U^T.  The trace contract lives in
 ``convergence``: only ``TraceRecorder`` decides ``converged`` and raises
 the budget-cap NonConvergenceError.  The four sequential walks step
-through a moving ``_Frame`` (one eigh per step), and the recursive means
+through a moving ``_Frame`` (one generalized eigensolve, LAPACK
+``dsygvd``, per step), and the recursive means
 step all their tuples at once through a stacked ``_Frame`` (one eigh per
 level and round), not through the two-eigh ``geodesic`` or
 ``riemannian_distance``.
 Matrices become an ``(n, d, d)`` stack in one place, ``spd_core._stack``,
-which validates them first and is the one dimension check: the n-matrix
-and pair entry points call it once and hand its array to the kernels.
+which validates them first through ``_check_dimensions``, the one
+dimension check: the n-matrix entry points call it once and hand its
+array to the kernels, and the pair entry points that need no stack call
+the check alone.
 Weighted terms are added left to right in one place,
 ``spd_core._ordered_sum``, the only user of ``np.cumsum``.  A
 NonConvergenceError propagates from where it is raised to the CLI, the

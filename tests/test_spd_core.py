@@ -299,6 +299,31 @@ def test_distance_shape_mismatch():
         karcher_refine(a, [a, a, a], WeightVector.uniform(2))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_pair_entry_points_check_dimensions_without_stacking(rng, d):
+    # geodesic, riemannian_distance and s_divergence check their pair's
+    # dimensions without building a stack, and return the bits the stacked
+    # formulation gives: the distance to the stack's copy of the second
+    # matrix, and the midpoint as weighted_arithmetic's ordered sum
+    a, b = SpdMatrix(np.eye(d)), SpdMatrix(np.eye(d + 1))
+    pairs = [(random_spd(rng, d, 2.0), random_spd(rng, d, 2.0)) for _ in range(5)]
+    with mock.patch.object(spd_core, "_stack", side_effect=AssertionError("stacked")):
+        for operation in (riemannian_distance, s_divergence,
+                          lambda x, y: geodesic(x, y, 0.3)):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ShapeError):
+                    operation(x, y)
+        results = [(riemannian_distance(x, y), s_divergence(x, y), geodesic(x, y, 0.3).array)
+                   for x, y in pairs]
+    for (x, y), (distance, divergence, point) in zip(pairs, results):
+        assert distance == float(_Frame(x).distances(_stack([x, y])[1]))
+        midpoint = weighted_arithmetic([x, y], WeightVector.uniform(2)).array
+        logdets = [np.sum(np.log(P.eigen()[0])) for P in (x, y)]
+        assert divergence == float(np.linalg.slogdet(midpoint)[1]
+                                   - 0.5 * (logdets[0] + logdets[1]))
+        np.testing.assert_array_equal(point, _Frame(x).power_sandwich(_stack([x, y])[1], 0.3))
+
+
 # ---------------------------------------------------------------------------
 # Geodesic
 # ---------------------------------------------------------------------------
@@ -400,8 +425,9 @@ def test_walk_does_not_drift_over_long_runs():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
 def test_single_matrix_kernels_match_the_stacked_ones(rng, d):
-    # one (d, d) matrix goes to LAPACK dsyevd and dgesv, a stack to numpy's
-    # batched eigh; both give the same whitened spectrum
+    # one (d, d) matrix goes to LAPACK dsyevd, a stack to numpy's batched
+    # eigh; both give the same whitened spectrum, and the walk's dsygvd of
+    # the pencil (P, X) gives it too
     walk = _Frame(random_spd(rng, d, 1.5))
     eye = np.eye(d)
     for t, y in enumerate((random_spd(rng, d, 1.5).array for _ in range(20)), 2):
@@ -411,18 +437,24 @@ def test_single_matrix_kernels_match_the_stacked_ones(rng, d):
         root = _assemble(vecs, np.sqrt(mu))
         root_stacked = _assemble(vecs_stacked, np.sqrt(mu_stacked))[0]
         assert np.linalg.norm(root - root_stacked) <= 1e-14 * np.linalg.norm(root)
-        walk.advance(mu, vecs, 1.0 / t)
-        # G from the LAPACK solve stays the inverse of the moved factor F
+        mu_pencil, _ = spd_core._generalized_eigh(y, walk._M)
+        np.testing.assert_allclose(mu_pencil, mu, rtol=1e-12, atol=0)
+        walk.step(y, 1.0 / t)
+        # G read off the generalized solve stays the inverse of the moved factor F
         assert np.linalg.norm(walk._G @ walk._F - eye) <= 4 * d * np.finfo(float).eps
 
 
-def test_advance_onto_a_singular_factor_raises(rng):
+def test_step_with_a_failed_solve_raises(rng):
+    # a target LAPACK cannot decompose, and a base that is not numerically
+    # positive definite, fail the solve with a typed error and leave the
+    # frame where it was
     walk = _Frame(random_spd(rng, 3))
-    mu, vecs = walk.spectra(random_spd(rng, 3).array)
-    mu = mu.copy()
-    mu[1] = 0.0
-    with pytest.raises(NumericError, match="singular"):
-        walk.advance(mu, vecs, 0.5)
+    before = walk.base()
+    with pytest.raises(NumericError, match="generalized eigendecomposition failed"):
+        walk.step(np.full((3, 3), np.nan), 0.5)
+    assert walk.base() is before
+    with pytest.raises(NumericError, match="generalized eigendecomposition failed"):
+        spd_core._generalized_eigh(random_spd(rng, 3).array, np.diag([1.0, 0.0, 1.0]))
 
 
 _TINY = SpdMatrix(1e-200 * np.eye(3))

@@ -213,6 +213,38 @@ def test_lln_experiment_off_decade_counts_match_prefix_replay(rng):
         assert list(row) == replayed
 
 
+def test_lln_experiment_reads_residual_and_variance_off_one_whitening(rng):
+    # the residual is bit for bit karcher_residual's; the variance comes
+    # from eigh's eigenvalues instead of eigvalsh's, equal up to roundoff
+    center = random_spd(rng, 3)
+    report = lln_experiment(center, 0.3, [400], seeds=[4, 5])
+    for seed, residual, variance in zip(report.seeds, report.residual_at_center,
+                                        report.variance_at_center):
+        batch = sample_spd(SampleConfig(seed=seed, scale=0.3, count=400, center=center))
+        assert residual == karcher_residual(center, batch)
+        assert variance == pytest.approx(spd_variance(batch, center), rel=1e-13)
+
+
+def test_walk_step_is_one_generalized_solve(rng, count_decompositions):
+    # a step of the walk decomposes nothing but its pencil; a 10^4-sample
+    # lln_experiment seed walks 9,999 steps, and decomposes the whitened
+    # batch once at the center (10^4 eigh) and once at the estimate
+    # (10^4 eigvalsh), beside drawing it (10^4 eigh)
+    walk = spd_core._Frame(random_spd(rng, 3))
+    targets = [random_spd(rng, 3).array for _ in range(50)]
+    count_decompositions.clear()
+    for t, P in enumerate(targets, 2):
+        walk.step(P, 1.0 / t)
+    assert dict(count_decompositions) == {"generalized_eigh": 50}
+    center = random_spd(rng, 3)
+    count_decompositions.clear()
+    lln_experiment(center, 0.3, [100, 1000, 10_000], seeds=[5])
+    # the rest: the center's and the first sample's frames, and a frame and
+    # a distance at each of the three checkpoints
+    assert dict(count_decompositions) == {"generalized_eigh": 9_999,
+                                          "eigh": 20_000 + 2 + 3, "eigvalsh": 10_000 + 3}
+
+
 def test_lln_experiment_rejects_nonpositive_count():
     with pytest.raises(DomainError):
         lln_experiment(SpdMatrix(np.eye(2)), 0.3, [0, 10], seeds=[0])
