@@ -247,7 +247,8 @@ def _run_sample(args: argparse.Namespace) -> int:
         center = center_set[0]
     else:
         center = SpdMatrix(np.eye(args.dimension))
-    counts = [c for c in (10, 100, 1000, 10_000, 100_000) if c < args.count] + [args.count]
+    decades = (10 ** k for k in range(1, len(str(args.count))))
+    counts = [c for c in decades if c < args.count] + [args.count]
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     report = stochastic.lln_experiment(center, args.scale, counts, seeds)
     return _emit_report(args, report.to_dict())
@@ -376,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--dimension", type=int, default=3)
     p_sample.add_argument("--scale", type=float, default=0.3)
     p_sample.add_argument("--count", type=int, default=10_000,
-                          help="samples per batch (lln) or per trial (clt)")
+                          help="samples per batch (lln; errors at every 10^k below it "
+                               "and at it) or per trial (clt)")
     p_sample.add_argument("--num-seeds", type=int, default=1)
     p_sample.add_argument("--trials", type=int, default=1000)
     p_sample.add_argument("--mu", type=float, default=0.3)

@@ -399,16 +399,6 @@ def _replay(recorder: TraceRecorder, history: list[tuple[np.ndarray, np.ndarray]
     return recorder
 
 
-def _in_tuple_order(finished: list[tuple[np.ndarray, np.ndarray, _Frame]]) -> tuple[np.ndarray, _Frame]:
-    """The limits and their frames, in tuple order, from the (tuples,
-    limits, frames) of each round in which some tuples finished."""
-    if len(finished) == 1:  # all finished in one round, so in tuple order
-        return finished[0][1:]
-    tuples, limits, frames = zip(*finished)
-    order = np.argsort(np.concatenate(tuples))
-    return np.concatenate(limits)[order], _Frame.concat(frames)[order]
-
-
 def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
                     recorder: TraceRecorder, accept_stagnation: bool = False,
                     distances: np.ndarray | None = None
@@ -440,7 +430,7 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
     i, j, _, _ = _index_sets(n)
     if distances is None:
         distances = frames[:, i].distances(mats[:, j])
-    finished = []  # (tuples, limits, frames of the limits) per round that ended some
+    limits, limit_F, limit_G = (np.empty((k,) + mats.shape[2:]) for _ in range(3))
     live = np.arange(k)  # the tuple index of each row still iterating
     stalls = np.zeros(k, dtype=int)
     previous = np.full(k, math.inf)
@@ -471,11 +461,11 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
                 left = int(np.count_nonzero(going))
         if left < len(live):
             done = ~going
-            finished.append((live[done], mats[done, 0], frames[done, 0]))
+            rows, ended = live[done], frames[done, 0]
+            limits[rows], limit_F[rows], limit_G[rows] = mats[done, 0], ended._F, ended._G
             finished_rounds += rounds * (len(live) - left)
             if not left:
-                limits, limit_frames = _in_tuple_order(finished)
-                return limits, finished_rounds, limit_frames, history
+                return limits, finished_rounds, _Frame._of_roots(limit_F, limit_G), history
             live, mats, frames, distances = live[going], mats[going], frames[going], distances[going]
             stalls, spread = stalls[going], spread[going]
         previous = spread

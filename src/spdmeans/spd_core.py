@@ -12,10 +12,10 @@ numpy's ``eigh`` runs, without numpy's per-call overhead, and a stack to
 numpy's batched ``eigh``; a walk's step is one ``dsygvd``
 (``_generalized_eigh``).  Every eigensolver failure surfaces as
 NumericError.  Everything relative to a base X goes through one
-``_Frame`` (a factor F of X and G = F^{-1}; see its docstring): the
-distance, the geodesic, the exp map, the walks, and the recursive means,
-which step and measure all their tuples at once through a frame of a
-stack of bases.
+``_Frame`` (a factor F of X = F F^T, such as U diag(sqrt(lambda)), and
+G = F^{-1}; see its docstring): the distance, the geodesic, the exp map,
+the walks, and the recursive means, which step and measure all their
+tuples at once through a frame of a stack of bases.
 An entry point taking n matrices validates them once into one
 ``(n, d, d)`` array (``_stack``); a pair entry point that needs no stack
 runs the same check, ``_check_dimensions``, the only one.  A fan-out
@@ -260,11 +260,9 @@ def _ordered_sum(terms: np.ndarray, start: np.ndarray | float = 0.0) -> np.ndarr
     return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
-def _assemble(vecs: np.ndarray, values: np.ndarray, divide: bool = False) -> np.ndarray:
-    """U diag(values) U^T, symmetrized; ``divide`` gives U diag(values)^{-1} U^T by
-    dividing the columns, which rounds differently from multiplying by 1/values."""
-    v = values[..., None, :]
-    return _symmetrize((vecs / v if divide else vecs * v) @ vecs.mT)
+def _assemble(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """U diag(values) U^T, symmetrized."""
+    return _symmetrize((vecs * values[..., None, :]) @ vecs.mT)
 
 
 def _spectral(a: np.ndarray, f: Callable) -> np.ndarray:
@@ -319,19 +317,19 @@ class _Frame:
     every base-relative operation.
 
     By congruence invariance rho(X, P) is read from the spectrum of the
-    whitened G P G^T, and X #_t P = F (G P G^T)^t F^T for any such F.  A
-    frame built from an SpdMatrix holds the symmetric roots F = X^{1/2}
-    and G = X^{-1/2} of its cached decomposition.  F^T and G^T are stored:
-    a symmetric root is its own transpose, and multiplying by the
-    transposed view instead rounds differently (d = 32 with OpenBLAS).
+    whitened G P G^T, and X #_t P = F (G P G^T)^t F^T for any such F.  An
+    eigen or walk frame keeps F = B V diag(s) and the pencil (V, s) it came
+    from, and forms G = diag(1/s) V^T only when a whitening first reads it.
 
-    A frame built from an array holds the roots of every matrix of a
-    ``(..., d, d)`` stack of bases, from one eigh in the descending order
-    of ``SpdMatrix.eigen``, so each base's roots are the ones its
-    SpdMatrix would give.  Its methods then pair the i-th base with the
-    i-th matrix of a matching stack; indexing it selects bases, and
-    ``reshape`` and ``concat`` rearrange and join such stacks, without
-    decomposing them again.
+    A frame built from an SpdMatrix holds F = U diag(sqrt(lambda)) from its
+    cached decomposition (B = I), so no symmetric root is assembled.  A
+    frame built from an array holds the factors of every matrix of a
+    ``(..., d, d)`` stack of bases, from one eigh in the descending order of
+    ``SpdMatrix.eigen``, so each base's F and G are the ones its SpdMatrix
+    would give.  Its methods then pair the i-th base with the i-th matrix of
+    a matching stack; indexing it selects bases, and ``reshape`` and
+    ``concat`` rearrange and join such stacks, without decomposing them
+    again.
 
     ``_Frame.cholesky`` builds the frame of one ``(d, d)`` array from its
     Cholesky factor instead, F = L and G = L^{-1} (LAPACK trtri): one
@@ -343,21 +341,18 @@ class _Frame:
     median iterations) moves a one-base frame with ``step``: the pencil
     solve P V = X V diag(mu), V^T X V = I gives the whitened spectrum mu
     of P, so rho(X, P) = ``_rho(mu)``, and sets F <- (X V) diag(mu^{t/2})
-    with inverse G = diag(mu^{-t/2}) V^T, formed only when a whitening
-    reads it, and X <- F F^T for the next solve.
+    (B = X, s = mu^{t/2}) and X <- F F^T for the next solve.
     """
 
-    __slots__ = ("_F", "_Ft", "_M", "_inverse", "_pencil", "_base")
+    __slots__ = ("_F", "_M", "_inverse", "_pencil", "_base")
 
     def __init__(self, base: SpdMatrix | np.ndarray):
         """Frame of an SpdMatrix (cached decomposition) or of each matrix of
         an array stack of SPD bases (fresh eigh)."""
         is_matrix = isinstance(base, SpdMatrix)
         lam, vecs = base.eigen() if is_matrix else _descending_eigh(base)
-        root = np.sqrt(lam)
-        self._F = self._Ft = _assemble(vecs, root)
-        G = _assemble(vecs, root, divide=True)
-        self._inverse = (G, G)
+        root = np.sqrt(lam)[..., None, :]
+        self._F, self._inverse, self._pencil = vecs * root, None, (vecs, root)
         self._M, self._base = (base.array, base) if is_matrix else (base, None)
 
     @classmethod
@@ -374,30 +369,23 @@ class _Frame:
         G, info = dtrtri(L, lower=1)
         if info != 0:
             raise NumericError(f"triangular inverse failed (LAPACK info {info})")
-        out = object.__new__(cls)
-        out._F, out._Ft, out._inverse = L, L.T, (G, G.T)
-        out._M, out._base = base, None
-        return out
+        return cls._of_roots(L, G)
 
     @classmethod
     def _of_roots(cls, F: np.ndarray, G: np.ndarray) -> "_Frame":
         out = object.__new__(cls)
-        out._F = out._Ft = F
-        out._inverse = (G, G)
+        out._F, out._inverse = F, G
         out._M = out._base = None
         return out
 
-    def _whitener(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, G^T), formed from the last step's solve on first use."""
-        if self._inverse is None:
-            vecs, half = self._pencil
-            G = (vecs / half).T
-            self._inverse = (G, G.T)
-        return self._inverse
-
     @property
     def _G(self) -> np.ndarray:
-        return self._whitener()[0]
+        """G = F^{-1}; an eigen or walk frame forms diag(1/s) V^T from its
+        pencil on first use."""
+        if self._inverse is None:
+            vecs, scale = self._pencil
+            self._inverse = (vecs / scale).mT
+        return self._inverse
 
     def __getitem__(self, index) -> "_Frame":
         """The frames of the bases ``index`` selects from a stack frame."""
@@ -426,13 +414,13 @@ class _Frame:
 
     def whiten(self, Ps: np.ndarray) -> np.ndarray:
         """G P G^T for a (d, d) P or each matrix of a stack."""
-        G, Gt = self._whitener()
-        return _symmetrize(G @ Ps @ Gt)
+        G = self._G
+        return _symmetrize(G @ Ps @ G.mT)
 
     def lift(self, Ss: np.ndarray) -> np.ndarray:
         """F S F^T for a (d, d) S or each matrix of a stack; not yet
         symmetrized (wrap with ``SpdMatrix._trusted`` or ``_symmetrize``)."""
-        return self._F @ Ss @ self._Ft
+        return self._F @ Ss @ self._F.mT
 
     def spectra(self, Ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened spectra (mu, V) of G P G^T for a (d, d) P or each
@@ -472,7 +460,7 @@ class _Frame:
             return
         half = np.power(_positive(mu), 0.5 * t)
         F = (self._M @ vecs) * half
-        self._F, self._Ft, self._M = F, F.T, F @ F.T
+        self._F, self._M = F, F @ F.T
         self._inverse, self._pencil, self._base = None, (vecs, half), None
 
     def base(self) -> SpdMatrix:

@@ -24,7 +24,8 @@ from .convergence import MATRIX_ORDER_FLOOR, ConvergenceTrace, TraceRecorder
 from .errors import DomainError, ShapeError
 from .multi_means import _weighted_log_sum
 from .scalar_means import QuasiArithmeticGenerator
-from .spd_core import SpdMatrix, _Frame, _rho, _slices, _spectral, _stack, _symmetrize
+from .spd_core import (SpdMatrix, _Frame, _rho, _slices, _spectral, _stack, _symmetrize,
+                       matrix_function)
 
 #: Tangent samples are clipped to this many standard deviations, which
 #: keeps the sampling distribution inside a bounded support.
@@ -82,8 +83,8 @@ def _sample_stack(config: SampleConfig) -> np.ndarray:
     s = _symmetrize(s + np.triu(s, 1).mT)
     tangents = np.empty((config.count, d, d))
     tangents[0::2], tangents[1::2] = s, -s
-    frame = _Frame(config.center)
-    batch = np.concatenate([_symmetrize(frame.lift(_spectral(part, np.exp)))
+    root = matrix_function(config.center, np.sqrt)
+    batch = np.concatenate([_symmetrize(root @ _spectral(part, np.exp) @ root)
                             for part in _slices(tangents)])
     batch.flags.writeable = False
     return batch

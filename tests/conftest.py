@@ -27,8 +27,8 @@ def random_invertible(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def exp_at(P: SpdMatrix, s: np.ndarray) -> SpdMatrix:
-    """P^{1/2} exp(S) P^{1/2} for a symmetric tangent S, through P's frame
-    as the library's exp map computes it."""
+    """F exp(S) F^T for a symmetric tangent S and the factor F of P's frame,
+    as the library's exp map computes it: a point at distance ||S||_F from P."""
     return SpdMatrix._trusted(_Frame(P).lift(_spectral(s, np.exp)))
 
 

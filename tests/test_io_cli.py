@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spdmeans import MatrixSetError, ShapeError, SpdMatrix
+from spdmeans import MatrixSetError, ShapeError, SpdMatrix, stochastic
 from spdmeans.cli import build_parser, kinds_for_command, main, registry_listing
 from spdmeans.convergence import ConvergenceTrace, TraceStep
 from spdmeans.matrix_io import (
@@ -363,6 +363,27 @@ def test_sample_lln_without_seeds_is_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed" in captured.err
+
+
+@pytest.mark.parametrize("count, expected", [
+    (2_000_000, [10, 100, 1000, 10_000, 100_000, 1_000_000, 2_000_000]),
+    (1000, [10, 100, 1000]),
+    (1001, [10, 100, 1000, 1001]),
+    (10, [10]),
+])
+def test_sample_lln_checkpoints_are_the_decades_below_count(monkeypatch, count, expected):
+    # every decade below --count is a checkpoint, so a run past 10^5 still
+    # reports its 10^6 error; the stub stops the run before any sampling
+    class Captured(Exception):
+        pass
+
+    def capture(center, scale, counts, seeds):
+        raise Captured(list(counts))
+
+    monkeypatch.setattr(stochastic, "lln_experiment", capture)
+    with pytest.raises(Captured) as seen:
+        main(["sample", "--experiment", "lln", "--count", str(count)])
+    assert seen.value.args == (expected,)
 
 
 def test_sample_clt_json(capsys):

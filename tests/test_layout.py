@@ -7,12 +7,11 @@ kernels in ``spd_core``
 array or an ``(n, d, d)`` stack) or its public operations, so a change of
 eigensolver or batching touches one module.  The inverse root has one
 home: only ``spd_core._Frame`` inverts a matrix, full or triangular
-(``np.linalg.inv`` or LAPACK ``?gesv``, ``?getri``, ``?trtri``), or
-assembles U diag(lambda)^{-1} U^T.  The trace contract lives in
-``convergence``: only ``TraceRecorder`` decides ``converged`` and raises
-the budget-cap NonConvergenceError.  The four sequential walks step
-through a moving ``_Frame`` (one generalized eigensolve, LAPACK
-``dsygvd``, per step), and the recursive means
+(``np.linalg.inv`` or LAPACK ``?gesv``, ``?getri``, ``?trtri``).  The
+trace contract lives in ``convergence``: only ``TraceRecorder`` decides
+``converged`` and raises the budget-cap NonConvergenceError.  The four
+sequential walks step through a moving ``_Frame`` (one generalized
+eigensolve, LAPACK ``dsygvd``, per step), and the recursive means
 step all their tuples at once through a stacked ``_Frame`` (one eigh per
 level and round), not through the two-eigh ``geodesic`` or
 ``riemannian_distance``.
@@ -93,9 +92,9 @@ LAPACK_INVERSES = ("gesv", "getri", "trtri")
 
 def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
     """Lines of every ``np.linalg.inv`` call, LAPACK inverse or solve
-    (``?gesv``, ``?getri``, ``?trtri``), scipy triangular solve
-    (``solve_triangular``, ``cho_solve``) and ``_assemble(..., divide=True)``
-    call in the file, keyed by the enclosing top-level class or function."""
+    (``?gesv``, ``?getri``, ``?trtri``) and scipy triangular solve
+    (``solve_triangular``, ``cho_solve``) in the file, keyed by the
+    enclosing top-level class or function."""
     found: dict[str, list[int]] = {}
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         for node in ast.walk(top):
@@ -106,9 +105,7 @@ def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
             inverts = (name == "inv" and isinstance(getattr(callee, "value", None), ast.Attribute)
                        and callee.value.attr == "linalg"
                        or name.endswith(LAPACK_INVERSES) or name in TRIANGULAR_INVERSES)
-            divides = getattr(callee, "id", None) == "_assemble" and (
-                len(node.args) > 2 or any(kw.arg == "divide" for kw in node.keywords))
-            if inverts or divides:
+            if inverts:
                 found.setdefault(getattr(top, "name", "<module>"), []).append(node.lineno)
     return found
 

@@ -444,6 +444,32 @@ def test_single_matrix_kernels_match_the_stacked_ones(rng, d):
         assert np.linalg.norm(walk._G @ walk._F - eye) <= 4 * d * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+def test_eigen_frames_keep_a_factor_and_form_the_inverse_on_first_use(rng, monkeypatch, d):
+    # a frame keeps F = U diag(sqrt(lambda)) of the decomposition it reads,
+    # so no symmetric root is assembled, and forms G = diag(1/sqrt(lambda)) U^T
+    # on the first whitening; row i of a stack frame holds the bits of the
+    # frame of matrix i alone
+    xs = [random_spd(rng, d, 1.5) for _ in range(4)]
+    for x in xs:
+        x.eigen()
+    ys = _stack([random_spd(rng, d, 1.5) for _ in range(4)])
+    monkeypatch.setattr(spd_core, "_assemble", mock.Mock(side_effect=AssertionError("assembled")))
+    frames = [_Frame(x) for x in xs]
+    stacked = _Frame(_stack(xs))
+    for frame, y in zip(frames + [stacked], list(ys) + [ys]):
+        assert frame._inverse is None
+        frame.whiten(y)
+        assert frame._inverse is not None
+    eye = np.eye(d)
+    for i, (x, frame) in enumerate(zip(xs, frames)):
+        np.testing.assert_array_equal(stacked._F[i], frame._F)
+        np.testing.assert_array_equal(stacked._G[i], frame._G)
+        assert np.linalg.norm(frame._G @ frame._F - eye) <= 4 * d * np.finfo(float).eps
+        lifted = frame.lift(eye)
+        assert np.linalg.norm(lifted - x.array) <= 1e-13 * np.linalg.norm(x.array)
+
+
 def test_step_with_a_failed_solve_raises(rng):
     # a target LAPACK cannot decompose, and a base that is not numerically
     # positive definite, fail the solve with a typed error and leave the

@@ -15,6 +15,7 @@ from spdmeans import (
     karcher_residual,
     lln_experiment,
     lognormal_power_reference,
+    matrix_function,
     power_generator,
     qa_expectation_experiment,
     riemannian_distance,
@@ -24,9 +25,9 @@ from spdmeans import (
     WeightVector,
 )
 from spdmeans import spd_core
-from spdmeans.spd_core import _symmetrize
+from spdmeans.spd_core import _spectral, _symmetrize
 from spdmeans.stochastic import TRUNCATION_SIGMAS, _substream
-from tests.conftest import exp_at, random_spd
+from tests.conftest import random_spd
 
 
 def make_config(seed=0, dimension=3, scale=0.3, count=100, center=None):
@@ -125,6 +126,7 @@ def test_sample_spd_matches_per_pair_reference(rng, monkeypatch, spread, slice_m
     if slice_matrices:
         monkeypatch.setattr(spd_core, "_SLICE_BYTES", slice_matrices * d * d * 8)
     center = random_spd(rng, d, spread) if spread else SpdMatrix(np.eye(d))
+    root = matrix_function(center, np.sqrt)  # X = M^{1/2} exp(S) M^{1/2}
     stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
     upper = np.triu_indices(d)
     expected = []
@@ -133,7 +135,7 @@ def test_sample_spd_matches_per_pair_reference(rng, monkeypatch, spread, slice_m
         s[upper] = np.clip(stream.normal(0.0, scale, size=len(upper[0])),
                            -TRUNCATION_SIGMAS * scale, TRUNCATION_SIGMAS * scale)
         s = _symmetrize(s + np.triu(s, 1).T)
-        expected += [exp_at(center, s), exp_at(center, -s)]
+        expected += [SpdMatrix._trusted(root @ _spectral(x, np.exp) @ root) for x in (s, -s)]
     batch = sample_spd(make_config(seed=seed, scale=scale, count=2 * pairs, center=center))
     assert len(batch) == len(expected)
     for got, want in zip(batch, expected):
