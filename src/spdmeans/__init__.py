@@ -5,6 +5,8 @@ iterations and closed forms, with convergence-order diagnostics and
 stochastic law-of-large-numbers / central-limit experiments.
 """
 
+import logging
+
 from .convergence import ConvergenceTrace, TraceStep, estimate_order
 from .errors import (
     DefinitenessError,
@@ -76,6 +78,8 @@ from .stochastic import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())  # silent unless configured
 
 __all__ = [
     "ComplexPolar",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,8 +89,10 @@ class TraceRecorder:
     ``record`` returns whether the loop goes on: False once the error is
     at most ``tol``; at step ``max_steps`` above ``tol`` it raises
     NonConvergenceError with the partial trace (``name`` and ``unit`` word
-    the message).  A fixed-budget walk passes no tolerance: it never stops
-    early or claims convergence, and gives ``build`` its step count.
+    the message).  A tolerance that is not finite and positive, or a cap
+    that is not an integer of at least 1, raises DomainError before any
+    work.  A fixed-budget walk passes no tolerance: it never stops early
+    or claims convergence, and gives ``build`` its step count.
     """
 
     def __init__(self, tol: float | None = None, max_steps: int | None = None,
@@ -97,6 +100,8 @@ class TraceRecorder:
                  order_floor: float = NOISE_FLOOR_FACTOR):
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
+        if max_steps is not None and not (isinstance(max_steps, numbers.Integral) and max_steps >= 1):
+            raise DomainError(f"iteration cap must be an integer of at least 1, got {max_steps!r}")
         self.tol = tol
         self.max_steps = max_steps
         self.name = name

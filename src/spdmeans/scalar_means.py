@@ -256,7 +256,8 @@ class DoubleSequenceSpec:
 
     Means from outside this module are checked for in-betweenness
     (min <= M(x, y) <= max) on a fixed sample grid at construction; the
-    relative-gap ``tolerance`` and the iteration cap govern the run.
+    relative-gap ``tolerance`` and the iteration cap govern the run, and
+    its ``TraceRecorder`` checks them before the first step.
     """
 
     mean_one: Callable[[float, float], float]
@@ -265,10 +266,6 @@ class DoubleSequenceSpec:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
         for name, mean in (("mean_one", self.mean_one), ("mean_two", self.mean_two)):
             if mean not in _PYTHAGOREAN_MEANS.values():
                 _check_betweenness(name, mean)

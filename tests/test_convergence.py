@@ -175,6 +175,15 @@ def test_non_finite_tolerance_rejected(name, tol):
         TOLERANCE_LOOPS[name](tol, 10)
 
 
+@pytest.mark.parametrize("name", sorted(TOLERANCE_LOOPS))
+@pytest.mark.parametrize("cap", [0, -1, 2.5])
+def test_invalid_iteration_cap_rejected(name, cap):
+    # rejected before any work, not after a full evaluation ending in
+    # NonConvergenceError "... within -1 iterations"
+    with pytest.raises(DomainError, match="integer of at least 1"):
+        TOLERANCE_LOOPS[name](1e-10, cap)
+
+
 def test_recorder_stopping_rule():
     recorder = TraceRecorder(1e-3, 2, "toy loop")
     assert recorder.record(0, None, 1.0)

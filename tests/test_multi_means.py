@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -236,8 +237,31 @@ def test_karcher_newton_step_is_never_longer_than_unit_step(rng):
         mats = [random_spd(rng, d, spread) for _ in range(5)]
         weights = WeightVector.uniform(5).values
         _, tangent, kernels = _hessian_at(random_spd(rng, d, spread), mats, weights)
-        step = multi_means._newton_step(tangent, kernels)
+        step, _ = multi_means._newton_step(tangent, kernels, 0.0)
         assert np.linalg.norm(step) <= np.linalg.norm(tangent)
+
+
+@pytest.mark.parametrize("d, spread", [(2, 0.5), (4, 2.0), (8, 4.0), (16, 3.0)])
+def test_karcher_newton_step_meets_its_forcing_target(rng, d, spread):
+    # ||T - H[Z]|| <= max(min(1e-3, ||T||) ||T||, floor), measured on the
+    # true residual, unless CG spent all d(d+1)/2 products; tangents far
+    # from the mean (||T|| > 1e-3) and near it (||T|| < 1e-3)
+    mats = [random_spd(rng, d, spread) for _ in range(5)]
+    weights = WeightVector.uniform(5).values
+    mean, _ = karcher_refine(uniform_start(mats), mats, tol=1e-12)
+    near = exp_at(mean, 1e-5 * spd_core._symmetrize(rng.normal(size=(d, d))))
+    norms = []
+    for base in (random_spd(rng, d, spread), near):
+        _, tangent, kernels = _hessian_at(base, mats, weights)
+        norm = float(np.linalg.norm(tangent))
+        norms.append(norm)
+        for floor in (0.0, 0.1 * norm):
+            step, products = multi_means._newton_step(tangent, kernels, floor)
+            gap = float(np.linalg.norm(tangent - multi_means._hessian(kernels, step)))
+            assert 1 <= products <= d * (d + 1) // 2
+            if products < d * (d + 1) // 2:
+                assert gap <= max(min(1e-3, norm) * norm, floor)
+    assert norms[0] > 1e-3 > norms[1]
 
 
 def test_karcher_step_size_limits():
@@ -283,6 +307,49 @@ def test_karcher_refine_cap_raises(rng):
     with pytest.raises(NonConvergenceError) as err:
         karcher_refine(uniform_start(mats), mats, tol=1e-12, max_iter=1)
     assert err.value.trace is not None
+
+
+def _spread_spd(rng, d, spread):
+    """Log-eigenvalues evenly spaced on [-spread, spread] under a random
+    rotation, so only the rotation depends on the seed."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return SpdMatrix((q * np.exp(np.linspace(-spread, spread, d))) @ q.T)
+
+
+@pytest.mark.parametrize("d, spread, products", [(16, 1.0, 7), (16, 3.0, 14),
+                                                 (64, 1.0, 7), (64, 3.0, 14)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_karcher_refine_round_and_product_counts(monkeypatch, d, spread, products, seed):
+    # at the default tolerance, n = 10: four residual evaluations and a
+    # pinned number of Hessian products, the same for every rotation seed
+    calls = []
+
+    def counting_hessian(kernels, Z):
+        calls.append(None)
+        return hessian(kernels, Z)
+
+    hessian = multi_means._hessian
+    monkeypatch.setattr(multi_means, "_hessian", counting_hessian)
+    rng = np.random.default_rng(seed)
+    mats = [_spread_spd(rng, d, spread) for _ in range(10)]
+    _, trace = karcher_refine(uniform_start(mats), mats)
+    assert trace.converged
+    assert len(trace.steps) == 4
+    assert len(calls) == products
+
+
+def test_karcher_refine_logs_each_step(rng, caplog):
+    mats = [random_spd(rng, 4, 2.0) for _ in range(5)]
+    with caplog.at_level(logging.DEBUG, logger="spdmeans"):
+        _, trace = karcher_refine(uniform_start(mats), mats, tol=1e-12)
+    lines = [r.getMessage() for r in caplog.records if r.name.startswith("spdmeans")]
+    assert len(lines) == len(trace.steps) - 1  # every iteration but the converged one
+    for line, step in zip(lines, trace.steps):
+        assert line.startswith(f"Karcher refinement iteration {step.step}: residual {step.error:.3e}, ")
+        assert "Newton step" in line or "Bini-Iannazzo step, 0 Hessian products" in line
+    caplog.clear()
+    karcher_refine(uniform_start(mats), mats, tol=1e-12)  # silent at the default level
+    assert not caplog.records
 
 
 # ---------------------------------------------------------------------------
