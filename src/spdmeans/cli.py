@@ -366,7 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.set_defaults(handler=_run_pair)
     _add_common(p_pair)
 
-    p_multi = sub.add_parser("multi", help="means of n SPD matrices")
+    p_multi = sub.add_parser(
+        "multi", help="means of n SPD matrices",
+        description="Means of n SPD matrices.  The recursive kinds (alm, bmp) first predict "
+                    "their work from the spread of the inputs and refuse, with exit code 1, "
+                    f"a mean that would take more than {multi_means.RECURSIVE_WORK_BOUND:,} "
+                    "geodesics: ALM of five 3x3 matrices at --tolerance 1e-10, or BMP of "
+                    "eight.")
     p_multi.add_argument("--kind", required=True)
     p_multi.add_argument("--inputs", required=True, metavar="FILE")
     p_multi.set_defaults(handler=_run_multi)

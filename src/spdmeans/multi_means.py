@@ -17,7 +17,10 @@ linearly, crawls on moderately spread sets and can diverge on spread ones
 quadratically, in 4 iterations on the benchmark's converging sets.
 
 The recursive means nest: each round replaces P_i by P_i #_s G(all
-others), and the n leave-one-out inner means are independent.  One
+others), and the n leave-one-out inner means are independent.  The pair
+level is the midpoint in closed form, and a cost model of the round-0
+spread refuses, before any geodesic, a mean whose predicted work exceeds
+``RECURSIVE_WORK_BOUND``: ALM's work grows 20-100 times per matrix.  One
 recursion level therefore runs a (k, n, d, d) stack of k tuples in
 lockstep through a stacked ``_Frame``, and recurses once per round on the
 (k n, n - 1, d, d) stack of their leave-one-out sub-tuples, whose frames
@@ -38,8 +41,8 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from itertools import count
-from typing import Callable, Sequence
+from itertools import count, islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .spd_core import (
     _assemble,
     _Frame,
     _ordered_sum,
+    _slice_length,
     _slices,
     _spectral,
     _stack,
@@ -73,7 +77,8 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RecursiveMeanParams:
-    """(n-1)-tuple of geodesic parameters for the recursive geometric means."""
+    """(n-1)-tuple of geodesic parameters for the recursive geometric means,
+    each in (0, 1] and the last, the pair level's, below 1."""
 
     s_tuple: tuple[float, ...]
 
@@ -83,6 +88,9 @@ class RecursiveMeanParams:
         for s in self.s_tuple:
             if not 0.0 < s <= 1.0:
                 raise DomainError(f"recursive mean parameters must lie in (0, 1], got {s!r}")
+        if self.s_tuple[-1] == 1.0:
+            raise DomainError("the last recursive mean parameter must lie in (0, 1): at 1 the "
+                              "pair level swaps its two matrices forever")
 
     @classmethod
     def bmp(cls, n: int) -> "RecursiveMeanParams":
@@ -108,14 +116,14 @@ def _weighted_log_sum(frame: _Frame, stack: np.ndarray,
     """Weighted sum of the whitened logs log(G P_i G^T) of the matrices of
     an (n, d, d) stack: one eigh per ``_slices`` slice, then the terms added
     left to right by ``_ordered_sum``, each slice's sum starting from the
-    previous slices' total.  Also returns the whitened spectra
-    (mu, V) of each slice, in ascending order, for the Hessian and the step
-    size."""
+    previous slices' total; a frame of shape (m, 1) gives the (m, d, d)
+    sums at its bases.  Also returns the whitened spectra (mu, V) of each
+    slice, in ascending order, for the Hessian and the step size."""
     spectra = [frame.spectra(part) for part in _slices(stack)]
-    acc = np.zeros((frame.dimension, frame.dimension))
+    acc = np.zeros(stack.shape[1:])
     start = 0
     for mu, vecs in spectra:
-        stop = start + len(mu)
+        stop = start + mu.shape[-2]
         acc = _ordered_sum(weights[start:stop, None, None] * _assemble(vecs, np.log(mu)), acc)
         start = stop
     if not np.all(np.isfinite(acc)):
@@ -129,15 +137,40 @@ def karcher_residual(G: SpdMatrix, Ps) -> float:
     Vanishes exactly when G is the Karcher (Riemannian least-squares)
     mean of the tuple.
     """
-    return _residual(_Frame(G), _stack(Ps, G))
+    return float(_residual(_Frame(G), _stack(Ps, G)))
 
 
-def _residual(frame: _Frame, stack: np.ndarray) -> float:
-    """The Karcher residual of an (n, d, d) stack at the frame's base.  Any
-    factor F of the base gives the same norm: the whitened logs of two
-    factors differ by a rotation."""
-    n = len(stack)
-    return float(np.linalg.norm(_weighted_log_sum(frame, stack, np.ones(n))[0]) / n)
+def _residual(frame: _Frame, stack: np.ndarray) -> np.ndarray:
+    """The Karcher residual of an (n, d, d) stack at the frame's base (a
+    0-d array), or at each base of a frame of shape (m, 1).  Any factor F
+    of a base gives the same norm: the whitened logs of two factors differ
+    by a rotation.  ``vecdot`` adds the squares as ``np.linalg.norm`` of
+    one matrix does, in one dot product."""
+    acc = _weighted_log_sum(frame, stack, np.ones(len(stack)))[0]
+    flat = acc.reshape(acc.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat)) / len(stack)
+
+
+def _checkpoint_values(checkpoints: Iterator[tuple[int, np.ndarray, np.ndarray]],
+                       stack: np.ndarray, measure: Callable[[_Frame], Sequence[float]]
+                       ) -> Iterator[tuple[int, float]]:
+    """(step, value) at each checkpoint of a walk over an (n, d, d) stack.
+
+    ``checkpoints`` runs the walk, yielding the step index and the walk
+    frame's F and G at each checkpoint, and ``measure`` maps a frame of
+    shape (m, 1) of such bases to their m values.  The bases wait in
+    batches of as many as ``_SLICE_BYTES`` holds copies of the stack (at
+    least one: one checkpoint at d = 128, hundreds at d = 3), so a batch
+    costs a few stacked kernel calls where each checkpoint made its own,
+    and the walk is unchanged.
+    """
+    size = _slice_length(stack.nbytes)
+    factors, inverses = np.empty((2, size, 1) + stack.shape[1:])
+    while batch := list(islice(checkpoints, size)):
+        for row, (_, F, G) in enumerate(batch):
+            factors[row, 0], inverses[row, 0] = F, G
+        frame = _Frame._of_roots(factors[:len(batch)], inverses[:len(batch)])
+        yield from zip((t for t, _, _ in batch), measure(frame))
 
 
 def _conditions(spectra: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
@@ -275,7 +308,9 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
     P_2, P_3, ..., P_n, P_1, ... after initialization.  Convergence to
     the Karcher mean is slow (the step sizes decay like 1/t), so the
     trace records the Karcher residual every n steps for monitoring
-    rather than a stopping rule.
+    rather than a stopping rule.  The residuals are measured in stacked
+    batches behind the walk (``_checkpoint_values``), at the walk's own
+    factor of each checkpoint's iterate.
     """
     Ps = list(Ps)
     stack = _stack(Ps)
@@ -287,10 +322,16 @@ def holbrook_inductive_mean(Ps, steps: int = HOLBROOK_DEFAULT_STEPS) -> tuple[Sp
     if steps < n:
         raise DomainError(f"need at least n={n} steps, got {steps}")
     walk = _Frame(Ps[0])
-    for t in range(1, steps + 1):
-        walk.step(stack[t % n], 1.0 / (t + 1))
-        if t % n == 0:
-            recorder.record(t, None, _residual(walk, stack))
+
+    def checkpoints():
+        for t in range(1, steps + 1):
+            walk.step(stack[t % n], 1.0 / (t + 1))
+            if t % n == 0:
+                yield t, walk._F, walk._G
+
+    for t, residual in _checkpoint_values(checkpoints(), stack,
+                                          lambda frame: _residual(frame, stack)):
+        recorder.record(t, None, residual)
     return walk.base(), recorder.build(iterations_used=steps)
 
 
@@ -340,7 +381,8 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
     iterate X, not at P_i.  The schedule must be finite and
     positive and satisfy sum lambda_k = inf and sum lambda_k^2 < inf
     (default lambda_k = 1/(k+1)).  The trace records the median objective
-    (1/n) sum_i rho(X, P_i) after each sweep.
+    (1/n) sum_i rho(X, P_i) after each sweep, measured in stacked batches
+    behind the walk (``_checkpoint_values``).
     """
     Ps = list(Ps)
     stack = _stack(Ps)
@@ -359,17 +401,23 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
     walk = _Frame(Ps[0])
     recorder = TraceRecorder(order_floor=MATRIX_ORDER_FLOOR)
 
-    def t_of(dist: float) -> float | None:  # this sweep's step at rho(X, P_i); None skips
-        return None if dist < MEDIAN_DISTANCE_GUARD else min(1.0, lam / (n * dist))
+    def checkpoints():
+        def t_of(dist: float) -> float | None:  # this sweep's step at rho(X, P_i); None skips
+            return None if dist < MEDIAN_DISTANCE_GUARD else min(1.0, lam / (n * dist))
 
-    for k in range(sweeps):
-        lam = float(schedule(k))
-        if not (math.isfinite(lam) and lam > 0):
-            raise DomainError(f"lambda schedule must be finite and positive, got {lam} at sweep {k}")
-        for P in stack:
-            walk.step(P, t_of)
-        objective = sum(walk.fan_out(stack).tolist()) / n
-        recorder.record(k + 1, None, objective)
+        for k in range(sweeps):
+            lam = float(schedule(k))
+            if not (math.isfinite(lam) and lam > 0):
+                raise DomainError(f"lambda schedule must be finite and positive, got {lam} at sweep {k}")
+            for P in stack:
+                walk.step(P, t_of)
+            yield k + 1, walk._F, walk._G
+
+    def objectives(frame: _Frame) -> list[float]:  # each (1/n) sum_i rho(X, P_i), added in order
+        return [sum(row) / n for row in frame.fan_out(stack).tolist()]
+
+    for k, objective in _checkpoint_values(checkpoints(), stack, objectives):
+        recorder.record(k, None, objective)
     return walk.base(), recorder.build(iterations_used=sweeps)
 
 
@@ -381,9 +429,52 @@ def bacak_median(Ps, lambda_schedule: Callable[[int], float] | Sequence[float] |
 #: only below this spread; above it, stagnation raises NonConvergenceError.
 _STAGNATION_SPREAD_BOUND = 1e-6
 
+#: recursive_geometric_mean refuses, before any geodesic, a call whose
+#: predicted work W (``_recursive_work``) exceeds this many geodesics.
+RECURSIVE_WORK_BOUND = 1_000_000
+
+#: The cost model's rounds for a level that its linear model finishes
+#: sooner, as BMP's cubic levels do: measured per tuple on 3 x 3 sets of
+#: BMP n = 5 to 7, 2-3 at the top level and 1.4-2.3 below it.
+_CUBIC_LEVEL_ROUNDS = 2
+
 
 def _level_recorder(tol: float, max_rounds: int, name: str) -> TraceRecorder:
     return TraceRecorder(tol, max_rounds, name, unit="rounds", order_floor=MATRIX_ORDER_FLOOR)
+
+
+def _inner_tol(tol: float) -> float:
+    """The tolerance of the level below one at ``tol``: tighter, so the
+    inner means' error does not contaminate the outer spread sequence near
+    its own tolerance."""
+    return max(1e-2 * tol, 1e-14)
+
+
+def _recursive_work(s_tuple: tuple[float, ...], spread: float, tol: float,
+                    max_rounds: int) -> float:
+    """The predicted geodesics of a recursive mean of round-0 spread
+    ``spread``: W = prod_k k min(R_k, max_rounds) over its levels of
+    k >= 3 matrices (a pair level is one geodesic), and 0 when the spread
+    already meets ``tol``.
+
+    Linearized in the tangent space, a level of k matrices with parameter s
+    multiplies each member's deviation from the mean by
+    c = 1 - s k / (k - 1) per round (-1/(k - 1) for ALM's s = 1, 0 for
+    BMP's s = (k - 1)/k), so it takes R_k = ceil(log(spread / tol_k) /
+    log(1/|c|)) rounds to its tolerance tol_k, and no fewer than
+    ``_CUBIC_LEVEL_ROUNDS``.  Every level is charged the top level's
+    spread, which overcounts ALM's inner levels: on 3 x 3 sets W is the
+    number of midpoints at n = 3, and 1.7 and 3.4 times it at n = 4 and 5.
+    """
+    if spread <= tol:
+        return 0.0
+    work = 1.0
+    for k, s in zip(range(len(s_tuple) + 1, 2, -1), s_tuple):
+        contraction = abs(1.0 - s * k / (k - 1))
+        rounds = math.ceil(math.log(spread / tol) / -math.log(contraction)) if contraction else 0
+        work *= k * min(max(rounds, _CUBIC_LEVEL_ROUNDS), max_rounds)
+        tol = _inner_tol(tol)
+    return work
 
 
 @functools.cache
@@ -414,16 +505,17 @@ def _replay(recorder: TraceRecorder, history: list[tuple[np.ndarray, np.ndarray]
     return recorder
 
 
-def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...],
-                    recorder: TraceRecorder, accept_stagnation: bool = False,
-                    distances: np.ndarray | None = None
+def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
+                    s_tuple: tuple[float, ...], recorder: TraceRecorder,
+                    accept_stagnation: bool = False
                     ) -> tuple[np.ndarray, int, _Frame, list[tuple[np.ndarray, np.ndarray]]]:
-    """Limits of one recursion level for k tuples in lockstep.
+    """Limits of one recursion level of n >= 3 matrices for k tuples in
+    lockstep.
 
-    ``mats`` is a (k, n, d, d) stack of n-tuples with their ``frames``.
-    ``distances`` holds the pairwise distances rho(P_a, P_b), a < b in the
-    order of ``_index_sets``, of each tuple when the parent level has
-    measured them; they give the round-0 spreads.  ``recorder`` holds the
+    ``mats`` is a (k, n, d, d) stack of n-tuples, ``frames`` the frames of
+    all their members or of all but the last, and ``distances`` each
+    tuple's pairwise distances rho(P_a, P_b), a < b in the order of
+    ``_index_sets``, which give the round-0 spreads.  ``recorder`` holds the
     level's tolerance, round cap and name; the spreads, stall counters and
     live tuples are kept in arrays, and a recorder is filled only for a
     trace (``_replay``): the top level's, or that of the first tuple to
@@ -434,17 +526,17 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
     (``_partners``), one stacked geodesic step with one eigh for the new
     frames, and one eigvalsh for the distances, which the next round's
     sub-tuples take as theirs.  At s_1 = 1 the step lands on the partners
-    and the level adopts the frames the inner level hands back instead.
+    and the level adopts the frames the level below hands back instead.
     Otherwise the step builds the frames of all members but the last, all
-    the distances need, and the last member's waits until a tuple goes on
-    (at n = 2, the rare tuple not done in one round).  Returns the
-    (k, d, d) limits, the rounds the tuples completed, the frames of the
-    limits and the spread history.
+    the distances need.  Only a step with s < 1 reads the last member's
+    frame, here or in a level below, where that member is last too, so it
+    is built for a tuple that goes on only if such a level exists (every
+    BMP level, no ALM level).  Returns the (k, d, d) limits, the rounds the
+    tuples completed, the frames of the limits and the spread history.
     """
     k, n = mats.shape[:2]
     i, j, _, _ = _index_sets(n)
-    if distances is None:
-        distances = frames[:, i].distances(mats[:, j])
+    adopt, reads_last = s_tuple[0] == 1.0, any(s < 1.0 for s in s_tuple[:-1])
     limits, limit_F, limit_G = (np.empty((k,) + mats.shape[2:]) for _ in range(3))
     live = np.arange(k)  # the tuple index of each row still iterating
     stalls = np.zeros(k, dtype=int)
@@ -484,14 +576,11 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
             live, mats, frames, distances = live[going], mats[going], frames[going], distances[going]
             stalls, spread = stalls[going], spread[going]
         previous = spread
-        if frames.shape[1] < n:  # the step built all frames but the last member's
+        if reads_last and frames.shape[1] < n:
             frames = _Frame.concat([frames, _Frame(mats[:, -1:])], axis=1)
-        if n == 2:
-            partners, partner_frames = mats[:, ::-1], frames[:, ::-1]
-        else:
-            partners, partner_frames = _partners(mats, frames, distances, s_tuple[1:],
-                                                 recorder.tol, recorder.max_steps)
-        if s_tuple[0] == 1.0:
+        partners, partner_frames = _partners(mats, frames, distances, s_tuple[1:],
+                                             recorder.tol, recorder.max_steps, adopt)
+        if adopt:
             mats, frames = partners, partner_frames
         else:
             mats = frames.power_sandwich(partners, s_tuple[0])
@@ -500,23 +589,31 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, s_tuple: tuple[float, ...]
 
 
 def _partners(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
-              s_tuple: tuple[float, ...], tol: float, max_rounds: int) -> tuple[np.ndarray, _Frame]:
+              s_tuple: tuple[float, ...], tol: float, max_rounds: int,
+              adopt: bool) -> tuple[np.ndarray, _Frame | None]:
     """The n leave-one-out means of each of k n-tuples, as a (k, n, d, d)
-    stack (sub-tuple i n + j leaves out P_j of tuple i), and their frames.
+    stack (sub-tuple i n + j leaves out P_j of tuple i), and their frames
+    when the level ``adopt``s them.
 
-    The k n sub-tuples take their frames and round-0 distances from the
-    parents' and run in consecutive chunks of at most ``_SLICE_BYTES`` of
-    matrices, which bounds the breadth-first state of the levels below:
-    one chunk at d = 3, one sub-tuple at a time at d = 128.  Inner means
-    run at a tighter tolerance so their error does not contaminate the
-    outer spread sequence near its own tolerance.
+    At n = 3 the sub-tuples are pairs, whose mean is the midpoint in closed
+    form: one sandwich X #_{1/2} Y through the frame of X.  Their frames,
+    an eigh each, are built only for an adopting level, and only for its
+    members 0..n-2: it reads no other.  Larger sub-tuples take their frames
+    and round-0 distances from the parents' and run at ``_inner_tol`` in
+    consecutive chunks of at most ``_SLICE_BYTES`` of matrices, which
+    bounds the breadth-first state of the levels below: one chunk at d = 3,
+    one sub-tuple at a time at d = 128.  Their limits' frames come back
+    with them.
     """
     k, n = mats.shape[:2]
     _, _, rest, pairs = _index_sets(n)
+    if n == 3:
+        partners = frames[:, rest[:, 0]].power_sandwich(mats[:, rest[:, 1]], 0.5)
+        return partners, _Frame(partners[:, :-1]) if adopt else None
     subs = mats[:, rest].reshape((k * n, n - 1) + mats.shape[2:])
-    sub_frames = frames[:, rest].reshape(k * n, n - 1)
+    # without the parents' last member's frame, each sub-tuple's last is missing
+    sub_frames = frames[:, rest[:, :frames.shape[1] - 1]].reshape(k * n, -1)
     sub_distances = distances[:, pairs].reshape(k * n, -1)
-    inner_tol = max(1e-2 * tol, 1e-14)
     name = f"inner {n - 1}-matrix level of the recursive geometric mean"
     partners = np.empty((k * n,) + mats.shape[2:])
     partner_frames = []
@@ -524,8 +621,8 @@ def _partners(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
     for chunk in _slices(subs):
         stop = start + len(chunk)
         partners[start:stop], _, chunk_frames, _ = _recursive_mean(
-            chunk, sub_frames[start:stop], s_tuple, _level_recorder(inner_tol, max_rounds, name),
-            accept_stagnation=True, distances=sub_distances[start:stop])
+            chunk, sub_frames[start:stop], sub_distances[start:stop], s_tuple,
+            _level_recorder(_inner_tol(tol), max_rounds, name), accept_stagnation=True)
         partner_frames.append(chunk_frames)
         start = stop
     return partners.reshape(mats.shape), _Frame.concat(partner_frames).reshape(k, n)
@@ -538,10 +635,21 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
 
     Each round replaces P_i by P_i #_{s_1} G_{s_2, ...}(all others),
     stopping when the maximum pairwise distance of the n sequences falls
-    below ``tol``; the n = 2 base case is the symmetric two-sequence
-    geodesic iteration, which is the midpoint in one round at s_1 = 1/2.
-    The BMP tuple converges cubically, the ALM tuple linearly; the trace
-    records the spread per round for order estimation.
+    below ``tol``.  The BMP tuple converges cubically, the ALM tuple
+    linearly; the trace records the spread per round for order estimation.
+    The pair level is taken in closed form: its two sequences X #_s Y and
+    Y #_s X stay symmetric about the midpoint and close in on it for any s
+    in (0, 1), so a mean of two matrices is the one computed point
+    X #_{1/2} Y, and its trace records the spread rho(X, Y) and then 0.
+
+    Before any geodesic the call predicts its work from the round-0
+    spread, W = prod_k k min(R_k, max_rounds) geodesics over the levels of
+    k >= 3 matrices (``_recursive_work``), and logs W and the bound at
+    DEBUG on the ``spdmeans`` logger.  W above ``RECURSIVE_WORK_BOUND``
+    (10^6) raises DomainError naming both.  ALM's work grows 20-100 times
+    per added matrix: on 3 x 3 sets of spread about 2 the bound keeps ALM
+    n = 5 at tol 1e-8 (W about 7.6e5) and refuses it at 1e-10 (1.3e6), and
+    refuses BMP from n = 8 (1.3e6).
     """
     mats = _stack(Ps)[None]
     n = mats.shape[1]
@@ -552,5 +660,21 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
             f"parameter tuple has {len(params.s_tuple)} entries, need {n - 1}"
         )
     recorder = _level_recorder(tol, max_rounds, "recursive geometric mean")
-    limits, _, _, history = _recursive_mean(mats, _Frame(mats), params.s_tuple, recorder)
+    i, j, _, _ = _index_sets(n)
+    frames = _Frame(mats[:, :-1])
+    distances = frames[:, i].distances(mats[:, j])
+    spread = float(distances.max())
+    work = _recursive_work(params.s_tuple, spread, tol, max_rounds)
+    _log.debug("recursive geometric mean of %d matrices: spread %.3e, predicted work "
+               "W = %.0f geodesics, bound %d", n, spread, work, RECURSIVE_WORK_BOUND)
+    if work > RECURSIVE_WORK_BOUND:
+        raise DomainError(
+            f"recursive geometric mean of {n} matrices at tol {tol} would take about "
+            f"W = {work:,.0f} geodesics, above the bound {RECURSIVE_WORK_BOUND:,}")
+    if n == 2:
+        if not recorder.record(0, None, spread):
+            return SpdMatrix._frozen(mats[0, 0]), recorder.build()
+        recorder.record(1, None, 0.0)
+        return SpdMatrix._frozen(frames[0, 0].power_sandwich(mats[0, 1], 0.5)), recorder.build()
+    limits, _, _, history = _recursive_mean(mats, frames, distances, params.s_tuple, recorder)
     return SpdMatrix._frozen(limits[0]), _replay(recorder, history, 0).build()

@@ -226,9 +226,14 @@ class WeightVector:
 _SLICE_BYTES = 1 << 17
 
 
+def _slice_length(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` one slice holds: at least one."""
+    return max(1, _SLICE_BYTES // item_bytes)
+
+
 def _slices(stack: np.ndarray) -> list[np.ndarray]:
     """Consecutive views of an (n, d, d) stack, each of at most ``_SLICE_BYTES``."""
-    step = max(1, _SLICE_BYTES // stack[0].nbytes)
+    step = _slice_length(stack[0].nbytes)
     return [stack[i:i + step] for i in range(0, len(stack), step)]
 
 
@@ -252,12 +257,13 @@ def _stack(Ps: Iterable[SpdMatrix], *others: SpdMatrix) -> np.ndarray:
 
 
 def _ordered_sum(terms: np.ndarray, start: np.ndarray | float = 0.0) -> np.ndarray:
-    """start + terms[0] + terms[1] + ... over the first axis of a stack,
-    added left to right in place (``terms`` is overwritten).  That is the
-    order of a loop of ``acc = acc + term``, so the sum is bit-identical to
-    it; ``np.sum`` along the stack may add pairwise."""
-    terms[0] += start
-    return np.cumsum(terms, axis=0, out=terms)[-1]
+    """start + terms[0] + terms[1] + ... over the matrices of an (n, d, d)
+    stack, or of each stack of an (m, n, d, d) array, added left to right in
+    place (``terms`` is overwritten).  That is the order of a loop of
+    ``acc = acc + term``, so the sum is bit-identical to it; ``np.sum`` along
+    the stack may add pairwise."""
+    terms[..., 0, :, :] += start
+    return np.cumsum(terms, axis=-3, out=terms)[..., -1, :, :]
 
 
 def _assemble(vecs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -447,8 +453,9 @@ class _Frame:
         return (G @ A).T @ (G @ B)
 
     def fan_out(self, stack: np.ndarray) -> np.ndarray:
-        """rho(X, P) for every matrix of an (n, d, d) stack, one eigvalsh per slice."""
-        return np.concatenate([self.distances(part) for part in _slices(stack)])
+        """rho(X, P) for every matrix of an (n, d, d) stack, one eigvalsh per
+        slice: an (n,) array, or (m, n) from a frame of shape (m, 1)."""
+        return np.concatenate([self.distances(part) for part in _slices(stack)], axis=-1)
 
     def step(self, P: np.ndarray, t: float | Callable[[float], float | None]) -> None:
         """Move the base X of a one-base frame to X #_t P for a (d, d) array

@@ -333,6 +333,23 @@ def test_multi_recursive_kinds(tmp_path, capsys):
         assert float(out) == pytest.approx(4.0, rel=1e-9)
 
 
+def test_multi_alm_on_four_matrices_converges_and_five_are_refused(tmp_path, capsys):
+    # four matrices exited 2 when an inner level burnt its round budget; five
+    # at --tolerance 1e-10 are refused by the cost guard the help states
+    srng = np.random.default_rng(1)
+    mats = [random_spd(srng, 3) for _ in range(5)]
+    doc = {"d": 3, "matrices": [m.array.ravel().tolist() for m in mats]}
+    four = write_set(tmp_path, dict(doc, matrices=doc["matrices"][:4]), "four.json")
+    assert main(["multi", "--kind", "alm", "--inputs", four, "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"]
+    five = write_set(tmp_path, doc, "five.json")
+    assert main(["multi", "--kind", "alm", "--inputs", five, "--tolerance", "1e-10"]) == 1
+    assert "above the bound 1,000,000" in capsys.readouterr().err
+    multi = next(action for action in build_parser()._subparsers._group_actions
+                 if action.dest == "command").choices["multi"]
+    assert "more than 1,000,000 geodesics" in " ".join(multi.format_help().split())
+
+
 def test_multi_csv_matrix_output(tmp_path, capsys):
     path = write_set(tmp_path, {"d": 2, "matrices": [[1, 0, 0, 4], [9, 0, 0, 16]]})
     assert main(["multi", "--kind", "holbrook", "--max-iterations", "500",

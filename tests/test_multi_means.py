@@ -70,6 +70,15 @@ def test_recursive_params_builtins():
         RecursiveMeanParams(())
 
 
+@pytest.mark.parametrize("s_tuple", [(1.0,), (0.5, 1.0), (1.0, 1.0, 1.0)])
+def test_recursive_params_reject_a_last_parameter_of_one(s_tuple):
+    # at s = 1 the pair level swaps its two matrices forever, so its closed
+    # form, the midpoint, would hide a mean that never converges
+    with pytest.raises(DomainError, match="last recursive mean parameter"):
+        RecursiveMeanParams(s_tuple)
+    RecursiveMeanParams(s_tuple[:-1] + (0.5,))
+
+
 # ---------------------------------------------------------------------------
 # Karcher residual and refinement
 # ---------------------------------------------------------------------------
@@ -382,11 +391,42 @@ def test_holbrook_approaches_refined_mean(rng):
 
 def test_holbrook_residual_matches_karcher_residual(rng):
     # the monitor whitens through the walk's own factor, not the mean's root;
-    # the residual's norm is the same for either
+    # the residual's norm is the same for either, at every checkpoint
     mats = [random_spd(rng, 3, 1.5) for _ in range(5)]
     out, trace = holbrook_inductive_mean(mats, 5 * 40)
-    assert trace.steps[-1].step == 5 * 40
+    assert [step.step for step in trace.steps] == list(range(5, 5 * 40 + 1, 5))
     assert trace.steps[-1].error == pytest.approx(karcher_residual(out, mats), rel=1e-12)
+    for step in trace.steps[:-1]:
+        iterate, _ = holbrook_inductive_mean(mats, step.step)
+        assert step.error == pytest.approx(karcher_residual(iterate, mats), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3, 40])
+def test_walk_monitors_match_measuring_each_checkpoint_in_the_walk(rng, monkeypatch, d):
+    # Holbrook's residuals and the median's objectives are measured in
+    # batches behind the walk (two checkpoints a batch at d = 40, or one
+    # matrix a slice below), bit for bit as inside the walk one checkpoint
+    # at a time
+    n, cycles = 5, 12
+    mats = [random_spd(rng, d, 1.5) for _ in range(n)]
+    stack = spd_core._stack(mats)
+    walk, residuals = spd_core._Frame(mats[0]), []
+    for t in range(1, n * cycles + 3):
+        walk.step(stack[t % n], 1.0 / (t + 1))
+        if t % n == 0:
+            residuals.append(float(multi_means._residual(walk, stack)))
+    walk, objectives = spd_core._Frame(mats[0]), []
+    for k in range(cycles):
+        lam = 1.0 / (k + 1)
+        for P in stack:
+            walk.step(P, lambda dist: None if dist < 1e-14 else min(1.0, lam / (n * dist)))
+        objectives.append(sum(walk.fan_out(stack).tolist()) / n)
+    for slice_bytes in (spd_core._SLICE_BYTES, stack[0].nbytes):
+        monkeypatch.setattr(spd_core, "_SLICE_BYTES", slice_bytes)
+        _, holbrook = holbrook_inductive_mean(mats, n * cycles + 2)
+        _, median = bacak_median(mats, sweeps=cycles)
+        assert holbrook.errors == residuals
+        assert median.errors == objectives
 
 
 def test_holbrook_permutation_consistency(rng):
@@ -502,6 +542,73 @@ def test_recursive_two_matrices_midpoint_in_one_round(rng):
     assert riemannian_distance(out, geodesic(x, y, 0.5)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_recursive_pair_level_is_the_midpoint_for_any_parameter(rng, s):
+    # X #_s Y and Y #_s X stay symmetric about the midpoint and close in on
+    # it: the pair level is one computed point, recorded as rho(X, Y), then 0
+    x, y, z = (random_spd(rng, 3) for _ in range(3))
+    out, trace = recursive_geometric_mean([x, y], RecursiveMeanParams((s,)))
+    assert np.array_equal(out.array, geodesic(x, y, 0.5).array)
+    assert trace.errors == [riemannian_distance(x, y), 0.0] and trace.converged
+    same, _ = recursive_geometric_mean([x, x], RecursiveMeanParams((s,)))
+    assert same is not x and np.array_equal(same.array, x.array)
+    triple, _ = recursive_geometric_mean([x, y, z], RecursiveMeanParams((2 / 3, s)))
+    bmp, _ = recursive_geometric_mean([x, y, z], RecursiveMeanParams.bmp(3))
+    assert np.array_equal(triple.array, bmp.array)
+
+
+def test_recursive_work_model():
+    alm, bmp = RecursiveMeanParams.alm, RecursiveMeanParams.bmp
+    work = multi_means._recursive_work
+    assert work(alm(3).s_tuple, 2.0, 1e-10, 100) == 3 * 35  # ceil(log2(2e10))
+    assert work(alm(4).s_tuple, 2.0, 1e-10, 100) == 4 * 22 * 3 * 41
+    assert work(alm(5).s_tuple, 2.0, 1e-8, 100) == 5 * 14 * 4 * 22 * 3 * 41
+    assert work(alm(5).s_tuple, 2.0, 1e-10, 3) == 5 * 3 * 4 * 3 * 3 * 3
+    assert work(bmp(5).s_tuple, 2.0, 1e-12, 100) == 5 * 2 * 4 * 2 * 3 * 2
+    assert work(alm(2).s_tuple, 2.0, 1e-12, 100) == 1  # one midpoint
+    assert work(alm(5).s_tuple, 1e-13, 1e-12, 100) == 0
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_alm_four_matrices_converge_at_the_default_tolerance(seed):
+    # The pair level iterated to roundoff made the inner 3-matrix levels
+    # oscillate about their 1e-14 tolerance and burn their 100 rounds on
+    # these sets; the closed form converges on each, and the cost guard
+    # lets ALM n = 4 and BMP n = 5 at 1e-12 through.
+    srng = np.random.default_rng(seed)
+    mats = [random_spd(srng, 3) for _ in range(5)]
+    _, trace = recursive_geometric_mean(mats[:4], RecursiveMeanParams.alm(4))
+    assert trace.converged and trace.final_error <= 1e-12
+    _, trace = recursive_geometric_mean(mats, RecursiveMeanParams.bmp(5), tol=1e-12)
+    assert trace.converged
+
+
+def test_recursive_cost_guard_refuses_before_any_geodesic(count_decompositions):
+    # ALM n = 5 at 1e-10 would converge, in about 2 s at d = 3: refused from
+    # the spread alone, one stacked eigh for the frames of four inputs and
+    # one eigvalsh for the ten distances
+    srng = np.random.default_rng(9)
+    mats = [random_spd(srng, 3) for _ in range(5)]
+    count_decompositions.clear()
+    with pytest.raises(DomainError, match=r"W = 1,\d{3},\d{3} geodesics, above the bound 1,000,000"):
+        recursive_geometric_mean(mats, RecursiveMeanParams.alm(5), tol=1e-10)
+    assert count_decompositions == {"eigh": 4, "eigvalsh": 10}
+
+
+def test_recursive_mean_logs_its_predicted_work(rng, caplog):
+    mats = [random_spd(rng, 3) for _ in range(4)]
+    with caplog.at_level(logging.DEBUG, logger="spdmeans"):
+        recursive_geometric_mean(mats, RecursiveMeanParams.alm(4), tol=1e-10)
+        with pytest.raises(DomainError):
+            recursive_geometric_mean(mats + mats[:1], RecursiveMeanParams.alm(5), tol=1e-10)
+    lines = [r.getMessage() for r in caplog.records if r.name.startswith("spdmeans")]
+    spread = max(riemannian_distance(p, q) for i, p in enumerate(mats) for q in mats[i + 1:])
+    work = multi_means._recursive_work(RecursiveMeanParams.alm(4).s_tuple, spread, 1e-10, 100)
+    assert lines[0] == (f"recursive geometric mean of 4 matrices: spread {spread:.3e}, "
+                        f"predicted work W = {work:.0f} geodesics, bound 1000000")
+    assert len(lines) == 2 and lines[1].startswith("recursive geometric mean of 5 matrices")
+
+
 def test_recursive_equal_inputs_zero_rounds(rng):
     p = random_spd(rng, 3)
     out, trace = recursive_geometric_mean([p, p, p], RecursiveMeanParams.bmp(3))
@@ -589,6 +696,11 @@ def _sequential_level(mats, s_tuple, recorder, accept_stagnation=False):
 
     n, rounds, stalls = len(mats), 0, 0
     previous, spread = math.inf, spread_of(mats)
+    if n == 2:  # a top-level pair: the closed-form midpoint, one computed point
+        if not recorder.record(0, None, spread):
+            return mats[0]
+        recorder.record(1, None, 0.0)
+        return geodesic(mats[0], mats[1], 0.5)
     while recorder.record(rounds, None, spread):
         stalls = stalls + 1 if spread >= 0.99 * previous else 0
         if stalls >= 2:
@@ -596,8 +708,8 @@ def _sequential_level(mats, s_tuple, recorder, accept_stagnation=False):
                 break
             raise NonConvergenceError(f"{recorder.name} stagnated at spread {spread:.3e} "
                                       f"above tolerance {recorder.tol}", trace=recorder.build())
-        if n == 2:
-            partners = mats[::-1]
+        if n == 3:  # pairs: the closed-form midpoint
+            partners = [geodesic(*(mats[:i] + mats[i + 1:]), 0.5) for i in range(n)]
         else:
             name = f"inner {n - 1}-matrix level of the recursive geometric mean"
             partners = [
@@ -699,10 +811,10 @@ def test_recursive_level_counts_rounds_in_a_python_int(rng, monkeypatch):
 def test_chunked_recursion_is_bit_identical(rng, monkeypatch):
     mats = [random_spd(rng, 3) for _ in range(4)]
     params = RecursiveMeanParams.bmp(4)
-    srng = np.random.default_rng(9)  # an inner level of ALM n = 5 fails on this tuple
+    srng = np.random.default_rng(9)  # inner levels of ALM n = 5 fail here at a cap of 3 rounds
     failing = [random_spd(srng, 3) for _ in range(5)]
     with pytest.raises(NonConvergenceError):
-        recursive_geometric_mean(failing, RecursiveMeanParams.alm(5), tol=1e-10)
+        recursive_geometric_mean(failing, RecursiveMeanParams.alm(5), tol=1e-10, max_rounds=3)
     batches = []
     lockstep = multi_means._recursive_mean
 
@@ -712,27 +824,27 @@ def test_chunked_recursion_is_bit_identical(rng, monkeypatch):
 
     monkeypatch.setattr(multi_means, "_recursive_mean", spy)
     whole, whole_trace = recursive_geometric_mean(mats, params)
-    assert max(batches) == 12
+    assert max(batches) == 4  # the 3-tuples; their 12 pairs take the closed form
     batches.clear()
     monkeypatch.setattr(spd_core, "_SLICE_BYTES", mats[0].array.nbytes)
     chunked, chunked_trace = recursive_geometric_mean(mats, params)
     assert max(batches) == 1
     assert np.array_equal(chunked.array, whole.array)
     assert chunked_trace == whole_trace
-    # Slices of eight matrices hold two 4-tuples or two 3-tuples, so inner
-    # levels fail in later chunks of batches that span several parents.
+    # Slices of eight matrices hold two 4-tuples or two 3-tuples, so the
+    # batches of inner levels span several parents, and they still fail.
     monkeypatch.setattr(spd_core, "_SLICE_BYTES", 8 * mats[0].array.nbytes)
     with pytest.raises(NonConvergenceError):
-        recursive_geometric_mean(failing, RecursiveMeanParams.alm(5), tol=1e-10)
+        recursive_geometric_mean(failing, RecursiveMeanParams.alm(5), tol=1e-10, max_rounds=3)
 
 
 @pytest.mark.parametrize("seed", [4, 8, 9])
 def test_lockstep_failure_matches_sequential_reference(seed):
-    # An inner level of ALM n = 5 fails on these tuples, and a later sibling
-    # fails in fewer rounds than an earlier one: the lockstep recursion must
+    # Inner levels of ALM n = 5 fail on these tuples at a cap of 3 rounds
+    # (the cost guard refuses the uncapped call): the lockstep recursion must
     # fail wherever the depth-first one does.
     srng = np.random.default_rng(seed)
     mats = [random_spd(srng, 3) for _ in range(5)]
     with pytest.raises(NonConvergenceError):
-        recursive_geometric_mean(mats, RecursiveMeanParams.alm(5), tol=1e-10)
-    _assert_same_outcome(mats, RecursiveMeanParams.alm(5), 1e-10)
+        recursive_geometric_mean(mats, RecursiveMeanParams.alm(5), tol=1e-10, max_rounds=3)
+    _assert_same_outcome(mats, RecursiveMeanParams.alm(5), 1e-10, max_rounds=3)
