@@ -18,6 +18,19 @@ def random_spd(rng: np.random.Generator, d: int, spread: float = 1.0) -> SpdMatr
     return SpdMatrix((q * lam) @ q.T)
 
 
+def illcond_pair(seed: int, d: int) -> tuple[SpdMatrix, SpdMatrix, SpdMatrix]:
+    """The benchmark's ill-conditioned pair X = a a^T, Y = a diag(e^delta) a^T
+    and its geometric mean G = a diag(e^{delta/2}) a^T, exact by congruence:
+    a = R1 diag(exp(linspace(-2, 2, d))) R2^T with random rotations, and
+    delta a random permutation of linspace(-6, 6, d)."""
+    rng = np.random.default_rng(seed)
+    rotations = [np.linalg.qr(rng.normal(size=(d, d)))[0] for _ in range(2)]
+    a = (rotations[0] * np.exp(np.linspace(-2.0, 2.0, d))) @ rotations[1].T
+    delta = rng.permutation(np.linspace(-6.0, 6.0, d))
+    return (SpdMatrix(a @ a.T), SpdMatrix((a * np.exp(delta)) @ a.T),
+            SpdMatrix((a * np.exp(0.5 * delta)) @ a.T))
+
+
 def random_invertible(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random well-conditioned invertible matrix."""
     while True:

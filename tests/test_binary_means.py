@@ -1,5 +1,7 @@
+import logging
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from spdmeans import (
     DomainError,
     NonConvergenceError,
+    NumericError,
     SpdMatrix,
     WeightVector,
     ahm_iteration,
@@ -25,7 +28,7 @@ from spdmeans import (
     weighted_arithmetic,
     weighted_harmonic,
 )
-from tests.conftest import perturb_spd, psd_decrement, random_spd
+from tests.conftest import illcond_pair, perturb_spd, psd_decrement, random_spd
 
 # 2x2 non-commuting pair (substream 42) on which the log-Euclidean and
 # Riemannian geometric means visibly differ; the Frobenius gap is ~4e-2.
@@ -106,16 +109,92 @@ def test_ahm_nonconvergence_carries_trace(rng):
     assert not err.value.trace.converged
 
 
-def test_ahm_iteration_counts_on_the_seeded_battery():
+def test_ahm_iteration_counts_on_the_seeded_battery(caplog):
     # 100 pairs per d in 2..8 from seed 104, with the step count of each
-    # pinned: a harmonic step that rounds worse costs iterations here
+    # pinned: a harmonic step that rounds worse costs iterations here.  No
+    # gap stalls, so every pair runs the matrix loop to the end.
     rng = np.random.default_rng(104)
     tally = Counter()
-    for d in range(2, 9):
-        for _ in range(100):
-            x, y = random_spd(rng, d), random_spd(rng, d)
-            tally[ahm_iteration(x, y)[1].iterations_used] += 1
+    with caplog.at_level(logging.DEBUG, logger="spdmeans"):
+        for d in range(2, 9):
+            for _ in range(100):
+                x, y = random_spd(rng, d), random_spd(rng, d)
+                tally[ahm_iteration(x, y)[1].iterations_used] += 1
     assert tally == {4: 43, 5: 634, 6: 23}
+    assert not [r for r in caplog.records if r.name == "spdmeans.binary_means"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ahm_finishes_the_ill_conditioned_pair_past_its_floor(seed):
+    # The benchmark's construction at d = 32: the matrix gap stalls near
+    # 2-4e-12, above the 1e-12 tolerance, by iteration 10-11; without the
+    # finish the loop runs to its cap of 64.  The finish on the whitened spectrum converges within a
+    # step or two of the stall (11-12 iterations, rho to G 5.5e-11 to
+    # 1.4e-10, on a par with the closed form's 3.2e-11 to 1.4e-10).
+    x, y, g = illcond_pair(seed, 32)
+    mean, trace = ahm_iteration(x, y)
+    assert trace.converged
+    assert trace.iterations_used <= 16
+    assert riemannian_distance(mean, g) <= 5e-10
+
+
+def _geometric_mean_2x2_reference(x: SpdMatrix, y: SpdMatrix) -> np.ndarray:
+    """X # Y at 50 digits from the 2 x 2 formula (det X det Y)^{1/4} N / sqrt(det N),
+    N = X / sqrt(det X) + Y / sqrt(det Y)."""
+    with mpmath.workdps(50):
+        X, Y = mpmath.matrix(x.array.tolist()), mpmath.matrix(y.array.tolist())
+        dx, dy = mpmath.det(X), mpmath.det(Y)
+        N = X / mpmath.sqrt(dx) + Y / mpmath.sqrt(dy)
+        return np.array(((dx * dy) ** mpmath.mpf(0.25) / mpmath.sqrt(mpmath.det(N)) * N).tolist(),
+                        dtype=float)
+
+
+def test_ahm_finishes_the_stalled_s12_pair_to_a_50_digit_reference():
+    # d = 2, log-eigenvalues in [-12, 12]: the matrix gap stalls at about
+    # 3e-12 by step 16, and the matrix loop alone runs to its cap.  Finished on the
+    # spectrum it converges in 17 iterations, to 2.1e-13 relative of the
+    # 50-digit mean, closer than the closed form's 2.3e-12.
+    rng = np.random.default_rng((4, 2, 120))
+    x, y = random_spd(rng, 2, 12.0), random_spd(rng, 2, 12.0)
+    mean, trace = ahm_iteration(x, y)
+    reference = _geometric_mean_2x2_reference(x, y)
+    assert trace.converged
+    assert trace.iterations_used <= 20
+    assert np.linalg.norm(mean.array - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_ahm_logs_the_switch_to_the_spectrum(caplog):
+    x, y, _ = illcond_pair(0, 32)
+    with caplog.at_level(logging.DEBUG, logger="spdmeans"):
+        _, trace = ahm_iteration(x, y)
+    lines = [r.getMessage() for r in caplog.records if r.name == "spdmeans.binary_means"]
+    stalled = trace.steps[-2]  # the last matrix step; one spectral step converges
+    previous = trace.steps[-3]
+    assert lines == [f"matrix AHM step {stalled.step}: gap {stalled.error:.3e} not below the "
+                     f"previous {previous.error:.3e}, finishing on the whitened spectrum"]
+    assert stalled.error >= previous.error
+    caplog.clear()
+    ahm_iteration(x, y)  # silent at the default level
+    assert not caplog.records
+
+
+def test_ahm_robustness_sweep():
+    # 480 pairs: d in {2, 3, 5, 8, 16, 32}, log-eigenvalues uniform in
+    # [-s, s] under a random rotation, 10 seeds.  Up to s = 10 every pair
+    # converges; at s = 12 (condition numbers up to e^24) a pair converges
+    # or its harmonic step loses definiteness, a typed NumericError, but
+    # never exhausts the cap.
+    for d in (2, 3, 5, 8, 16, 32):
+        for s in (0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
+            for seed in range(10):
+                rng = np.random.default_rng((seed, d, round(10 * s)))
+                x, y = random_spd(rng, d, s), random_spd(rng, d, s)
+                try:
+                    _, trace = ahm_iteration(x, y)
+                except NumericError as exc:
+                    assert s == 12.0, (d, s, seed, exc)
+                    continue
+                assert trace.converged and trace.final_error <= 1e-12, (d, s, seed)
 
 
 def _conditioned(rng, d, cond):

@@ -14,7 +14,7 @@ from spdmeans.matrix_io import (
     trace_to_json,
     write_matrix_set,
 )
-from tests.conftest import random_spd
+from tests.conftest import illcond_pair, random_spd
 
 
 def write_set(tmp_path, doc, name="set.json"):
@@ -305,6 +305,19 @@ def test_pair_rejected_matrix_set(tmp_path, capsys):
     assert main(["pair", "--kind", "ahm", "--inputs", path]) == 1
     err = capsys.readouterr().err
     assert "matrix 1" in err and "-1" in err
+
+
+def test_pair_ahm_converges_past_the_gap_floor(tmp_path, capsys):
+    # the ill-conditioned d = 32 pair whose matrix gap stalls above 1e-12
+    x, y, _ = illcond_pair(0, 32)
+    path, trace_path = tmp_path / "pair.json", tmp_path / "t.json"
+    write_matrix_set([x, y], path)
+    assert main(["pair", "--kind", "ahm", "--inputs", str(path),
+                 "--trace", str(trace_path)]) == 0
+    capsys.readouterr()
+    trace = json.loads(trace_path.read_text())
+    assert trace["converged"] is True
+    assert trace["steps"][-1]["error"] <= 1e-12
 
 
 def test_multi_karcher_forced_nonconvergence(tmp_path, capsys):
