@@ -32,7 +32,7 @@ def matrix_set_from_document(doc: dict) -> tuple[SpdMatrix, ...]:
     if not isinstance(doc, dict) or "d" not in doc or "matrices" not in doc:
         raise MatrixSetError('matrix set must be an object with "d" and "matrices"')
     d = doc["d"]
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:  # bool is an int
         raise MatrixSetError(f'"d" must be a positive integer, got {d!r}')
     rows = doc["matrices"]
     if not isinstance(rows, list) or not rows:

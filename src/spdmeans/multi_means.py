@@ -27,12 +27,12 @@ lockstep through a stacked ``_Frame``, and recurses once per round on the
 and round-0 distances are gathered from the parents'.  An inner level
 hands back the frames of its limits, which a level with s_1 = 1 adopts as
 its new frames, so the recursion decomposes no matrix that the depth-first
-one reads from an eigen cache.  Each tuple keeps its own stopping and
-stall rules, over arrays of spreads, and a trace recorder is filled from
-the spread history only for the top level and the first tuple that fails,
-so the means and traces are those of the depth-first recursion.  A tuple
-that fails at any level fails the whole mean, so the first failure the
-lockstep order meets is raised at once.
+one reads from an eigen cache.  Each tuple stops at its tolerance or at
+its first spread that does not fall, over arrays of spreads, and a trace
+recorder is filled from the spread history only for the top level and the
+first tuple that fails, so the means and traces are those of the
+depth-first recursion.  A tuple that fails at any level fails the whole
+mean, so the first failure the lockstep order meets is raised at once.
 """
 
 from __future__ import annotations
@@ -516,11 +516,12 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
     all their members or of all but the last, and ``distances`` each
     tuple's pairwise distances rho(P_a, P_b), a < b in the order of
     ``_index_sets``, which give the round-0 spreads.  ``recorder`` holds the
-    level's tolerance, round cap and name; the spreads, stall counters and
-    live tuples are kept in arrays, and a recorder is filled only for a
-    trace (``_replay``): the top level's, or that of the first tuple to
-    fail, which fails the mean it belongs to as soon as it is met, here or
-    in a level below.
+    level's tolerance, round cap and name.  A tuple stops at a spread at
+    most the tolerance, or not below the previous round's: a stall, which
+    raises NonConvergenceError unless an inner level (``accept_stagnation``)
+    meets it below ``_STAGNATION_SPREAD_BOUND``.  A recorder is filled
+    only for a trace (``_replay``): the top level's, or that of the first
+    tuple to fail, which fails its mean at once, here or in a level below.
 
     Each round makes one inner call per chunk of leave-one-out sub-tuples
     (``_partners``), one stacked geodesic step with one eigh for the new
@@ -539,7 +540,6 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
     adopt, reads_last = s_tuple[0] == 1.0, any(s < 1.0 for s in s_tuple[:-1])
     limits, limit_F, limit_G = (np.empty((k,) + mats.shape[2:]) for _ in range(3))
     live = np.arange(k)  # the tuple index of each row still iterating
-    stalls = np.zeros(k, dtype=int)
     previous = np.full(k, math.inf)
     history = []
     finished_rounds = 0
@@ -551,10 +551,7 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
         if left:
             if recorder.exhausted(rounds):
                 _replay(recorder, history, live[going.argmax()])  # raises NonConvergenceError
-            # Roundoff floors the spread before very tight tolerances are met;
-            # detect the stall instead of burning the round budget.
-            stalls = np.where(spread >= 0.99 * previous, stalls + 1, 0)
-            stalled = going & (stalls >= 2)
+            stalled = going & (spread >= previous)  # roundoff floors the spread
             if stalled.any():
                 failed = stalled & ~(accept_stagnation & (spread < _STAGNATION_SPREAD_BOUND))
                 if failed.any():
@@ -574,8 +571,7 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
             if not left:
                 return limits, finished_rounds, _Frame._of_roots(limit_F, limit_G), history
             live, mats, frames, distances = live[going], mats[going], frames[going], distances[going]
-            stalls, spread = stalls[going], spread[going]
-        previous = spread
+        previous = spread[going]
         if reads_last and frames.shape[1] < n:
             frames = _Frame.concat([frames, _Frame(mats[:, -1:])], axis=1)
         partners, partner_frames = _partners(mats, frames, distances, s_tuple[1:],
@@ -637,6 +633,9 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
     stopping when the maximum pairwise distance of the n sequences falls
     below ``tol``.  The BMP tuple converges cubically, the ALM tuple
     linearly; the trace records the spread per round for order estimation.
+    A round whose spread does not fall below the previous one's is a stall,
+    at the roundoff floor; a stall above ``tol`` raises NonConvergenceError
+    with the trace so far.
     The pair level is taken in closed form: its two sequences X #_s Y and
     Y #_s X stay symmetric about the midpoint and close in on it for any s
     in (0, 1), so a mean of two matrices is the one computed point

@@ -78,6 +78,13 @@ def test_parse_rejects_malformed(tmp_path):
         parse_matrix_set(str(tmp_path / "missing.json"))
 
 
+def test_parse_rejects_a_boolean_dimension(tmp_path):
+    # bool is an int in Python; true must not reach the reshape as d = 1
+    path = write_set(tmp_path, {"d": True, "matrices": [[4]]})
+    with pytest.raises(MatrixSetError, match='"d" must be a positive integer, got True'):
+        parse_matrix_set(path)
+
+
 def test_roundtrip_is_exact(tmp_path, rng):
     mats = [random_spd(rng, 3, spread=2.0) for _ in range(4)]
     path = tmp_path / "roundtrip.json"

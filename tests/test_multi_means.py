@@ -688,13 +688,58 @@ def test_recursive_stagnation_raises_with_partial_trace(rng):
     assert trace.steps and trace.steps[-1].error > 1e-16
 
 
+def test_recursive_slow_contraction_is_not_a_stall():
+    # s_1 = 0.005 shrinks the spread by about 0.75 % a round: a steady fall,
+    # which a stall rule must not read as stagnation.  At the default cap it
+    # fails on the cap; with room it converges, in about
+    # log(1.68 / 1e-6) / -log(0.9925) = 1,900 rounds.
+    params = RecursiveMeanParams((0.005, 0.5))
+    for seed in range(3):
+        srng = np.random.default_rng(seed)
+        mats = [random_spd(srng, 3) for _ in range(3)]
+        with pytest.raises(NonConvergenceError, match="within 100 rounds"):
+            recursive_geometric_mean(mats, params, tol=1e-6)
+        if seed == 0:
+            _, trace = recursive_geometric_mean(mats, params, tol=1e-6, max_rounds=3000)
+            assert trace.converged and 1_800 < trace.iterations_used < 2_000
+            assert all(b < a for a, b in zip(trace.errors, trace.errors[1:]))
+
+
+def test_recursive_inner_levels_stop_at_their_first_non_falling_round(monkeypatch):
+    # On these spread 8 x 8 sets the inner levels reach their 1e-14
+    # tolerance's roundoff floor; each tuple stops at the first round whose
+    # spread does not fall, so every earlier round's spread fell.
+    seen = []
+    lockstep = multi_means._recursive_mean
+
+    def spy(*args, **kwargs):
+        result = lockstep(*args, **kwargs)
+        seen.append(result[3])
+        return result
+
+    monkeypatch.setattr(multi_means, "_recursive_mean", spy)
+    for seed in range(2):
+        srng = np.random.default_rng((seed, 8, 60, 4))
+        mats = [random_spd(srng, 8, 6.0) for _ in range(4)]
+        _, trace = recursive_geometric_mean(mats, RecursiveMeanParams.bmp(4), tol=1e-12)
+        assert trace.converged
+    tuples = 0
+    for history in seen:
+        for index in history[0][0]:
+            spreads = [spread[np.searchsorted(live, index)]
+                       for live, spread in history if index in live]
+            assert all(b < a for a, b in zip(spreads, spreads[1:-1])), spreads
+            tuples += 1
+    assert tuples == 2 * 17  # per set: the top level and 4 rounds of 4 sub-tuples
+
+
 def _sequential_level(mats, s_tuple, recorder, accept_stagnation=False):
     """One level of the recursive mean computed depth-first, one geodesic and
     one distance at a time: the reference for the lockstep recursion."""
     def spread_of(tup):
         return max(riemannian_distance(p, q) for i, p in enumerate(tup) for q in tup[i + 1:])
 
-    n, rounds, stalls = len(mats), 0, 0
+    n, rounds = len(mats), 0
     previous, spread = math.inf, spread_of(mats)
     if n == 2:  # a top-level pair: the closed-form midpoint, one computed point
         if not recorder.record(0, None, spread):
@@ -702,8 +747,7 @@ def _sequential_level(mats, s_tuple, recorder, accept_stagnation=False):
         recorder.record(1, None, 0.0)
         return geodesic(mats[0], mats[1], 0.5)
     while recorder.record(rounds, None, spread):
-        stalls = stalls + 1 if spread >= 0.99 * previous else 0
-        if stalls >= 2:
+        if spread >= previous:
             if accept_stagnation and spread < 1e-6:
                 break
             raise NonConvergenceError(f"{recorder.name} stagnated at spread {spread:.3e} "
@@ -771,6 +815,19 @@ def test_four_level_recursion_matches_sequential_reference(seed):
     with pytest.raises(NonConvergenceError):
         recursive_geometric_mean(mats, RecursiveMeanParams.alm(5), tol=1e-10, max_rounds=3)
     _assert_same_outcome(mats, RecursiveMeanParams.alm(5), 1e-10, max_rounds=3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [2, 3])
+def test_slow_tuple_matches_sequential_reference(seed, d):
+    # A tuple that is not built in, whose spread shrinks about 0.7-fold a
+    # round: the lockstep and the depth-first recursion stop on the same round.
+    srng = np.random.default_rng(seed)
+    mats = [random_spd(srng, d) for _ in range(3)]
+    params = RecursiveMeanParams((0.2, 0.5))
+    _, trace = recursive_geometric_mean(mats, params, tol=1e-10)
+    assert trace.converged
+    _assert_same_outcome(mats, params, 1e-10)
 
 
 @pytest.mark.parametrize("seed", range(4))
