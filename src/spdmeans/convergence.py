@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, NumericError
 
 #: Usable error samples must exceed this multiple of machine epsilon;
 #: below it the ratios q_t are dominated by roundoff, not by the iteration.
@@ -89,9 +89,11 @@ class TraceRecorder:
     ``record`` returns whether the loop goes on: False once the error is
     at most ``tol``; at step ``max_steps`` above ``tol`` it raises
     NonConvergenceError with the partial trace (``name`` and ``unit`` word
-    the message).  A tolerance that is not finite and positive, or a cap
-    that is not an integer of at least 1, raises DomainError before any
-    work.  A fixed-budget walk passes no tolerance: it never stops early
+    the message).  An error that is NaN or infinite raises NumericError
+    naming the loop and the step, so a loop whose gap turned NaN neither
+    runs to its cap nor leaves a trace ending in NaN.  A tolerance that is
+    not finite and positive, or a cap that is not an integer of at least
+    1, raises DomainError before any work.  A fixed-budget walk passes no tolerance: it never stops early
     or claims convergence, and gives ``build`` its step count.
     """
 
@@ -110,6 +112,8 @@ class TraceRecorder:
         self._order_floor = order_floor
 
     def record(self, step: int, value, error: float) -> bool:
+        if not math.isfinite(error):
+            raise NumericError(f"{self.name} step {step}: error proxy is {error}")
         if error < 0:
             raise ValueError("error proxies must be nonnegative")
         self._steps.append((step, value, float(error)))

@@ -341,7 +341,8 @@ class _Frame:
     Cholesky factor instead, F = L and G = L^{-1} (LAPACK trtri): one
     factorization and no eigensolver, the same distances and geodesics
     up to roundoff, and ``inverse_sandwich`` reads A X^{-1} B off G.
-    The matrix AHM builds one per iteration.
+    The matrix AHM builds two per call, of X for its step-0 gap and of
+    (X + Y)/2 for its one matrix step.
 
     A walk of geodesic steps (the inductive, Holbrook, circumcenter and
     median iterations) moves a one-base frame with ``step``: the pencil

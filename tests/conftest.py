@@ -1,9 +1,11 @@
-"""Shared helpers: seeded random SPD matrices and exact-radius perturbations."""
+"""Shared helpers: seeded random SPD matrices, exact-radius perturbations
+and a 50-digit geometric mean."""
 
 from __future__ import annotations
 
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +31,20 @@ def illcond_pair(seed: int, d: int) -> tuple[SpdMatrix, SpdMatrix, SpdMatrix]:
     delta = rng.permutation(np.linspace(-6.0, 6.0, d))
     return (SpdMatrix(a @ a.T), SpdMatrix((a * np.exp(delta)) @ a.T),
             SpdMatrix((a * np.exp(0.5 * delta)) @ a.T))
+
+
+def geometric_mean_reference(x: SpdMatrix, y: SpdMatrix) -> np.ndarray:
+    """X # Y = X^{1/2} (X^{-1/2} Y X^{-1/2})^{1/2} X^{1/2} of the float
+    inputs at 50 digits, each symmetric root from mpmath's eigsy, rounded
+    to float64 at the end."""
+    with mpmath.workdps(50):
+        def roots(M, *powers):
+            lam, U = mpmath.eigsy((M + M.T) / 2)
+            return [U * mpmath.diag([lam_i ** p for lam_i in lam]) * U.T for p in powers]
+
+        root, inverse_root = roots(mpmath.matrix(x.array.tolist()), 0.5, -0.5)
+        (middle,) = roots(inverse_root * mpmath.matrix(y.array.tolist()) * inverse_root, 0.5)
+        return np.array((root * middle * root).tolist(), dtype=float)
 
 
 def random_invertible(rng: np.random.Generator, d: int) -> np.ndarray:

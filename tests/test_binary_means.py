@@ -24,11 +24,18 @@ from spdmeans import (
     power_mean_limit_study,
     q_power_mean,
     riemannian_distance,
+    spd_core,
     spd_inverse,
     weighted_arithmetic,
     weighted_harmonic,
 )
-from tests.conftest import illcond_pair, perturb_spd, psd_decrement, random_spd
+from tests.conftest import (
+    geometric_mean_reference,
+    illcond_pair,
+    perturb_spd,
+    psd_decrement,
+    random_spd,
+)
 
 # 2x2 non-commuting pair (substream 42) on which the log-Euclidean and
 # Riemannian geometric means visibly differ; the Frobenius gap is ~4e-2.
@@ -111,8 +118,9 @@ def test_ahm_nonconvergence_carries_trace(rng):
 
 def test_ahm_iteration_counts_on_the_seeded_battery(caplog):
     # 100 pairs per d in 2..8 from seed 104, with the step count of each
-    # pinned: a harmonic step that rounds worse costs iterations here.  No
-    # gap stalls, so every pair runs the matrix loop to the end.
+    # pinned: a harmonic step that rounds worse costs iterations here.  Each
+    # pair takes its one matrix step and finishes on the whitened spectrum
+    # with the counts the all-matrix iteration took, and logs nothing.
     rng = np.random.default_rng(104)
     tally = Counter()
     with caplog.at_level(logging.DEBUG, logger="spdmeans"):
@@ -126,11 +134,12 @@ def test_ahm_iteration_counts_on_the_seeded_battery(caplog):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ahm_finishes_the_ill_conditioned_pair_past_its_floor(seed):
-    # The benchmark's construction at d = 32: the matrix gap stalls near
-    # 2-4e-12, above the 1e-12 tolerance, by iteration 10-11; without the
-    # finish the loop runs to its cap of 64.  The finish on the whitened spectrum converges within a
-    # step or two of the stall (11-12 iterations, rho to G 5.5e-11 to
-    # 1.4e-10, on a par with the closed form's 3.2e-11 to 1.4e-10).
+    # The benchmark's construction at d = 32.  Iterated as matrices, the gap
+    # stalls near 2-4e-12, above the 1e-12 tolerance, by iteration 10-11,
+    # and a matrix loop alone runs to its cap of 64.  On the whitened
+    # spectrum from step 1 the gap is exact and has no floor: 9 iterations,
+    # rho to G 5.4e-11 to 1.3e-10, on a par with the closed form's 3.2e-11
+    # to 1.4e-10.
     x, y, g = illcond_pair(seed, 32)
     mean, trace = ahm_iteration(x, y)
     assert trace.converged
@@ -150,10 +159,11 @@ def _geometric_mean_2x2_reference(x: SpdMatrix, y: SpdMatrix) -> np.ndarray:
 
 
 def test_ahm_finishes_the_stalled_s12_pair_to_a_50_digit_reference():
-    # d = 2, log-eigenvalues in [-12, 12]: the matrix gap stalls at about
-    # 3e-12 by step 16, and the matrix loop alone runs to its cap.  Finished on the
-    # spectrum it converges in 17 iterations, to 2.1e-13 relative of the
-    # 50-digit mean, closer than the closed form's 2.3e-12.
+    # d = 2, log-eigenvalues in [-12, 12]: iterated as matrices, the gap
+    # stalls at about 3e-12 by step 16, and a matrix loop alone runs to its
+    # cap.  On the whitened spectrum from step 1 it converges in 15
+    # iterations, to 2.1e-13 relative of the 50-digit mean, closer than the
+    # closed form's 2.3e-12.
     rng = np.random.default_rng((4, 2, 120))
     x, y = random_spd(rng, 2, 12.0), random_spd(rng, 2, 12.0)
     mean, trace = ahm_iteration(x, y)
@@ -163,19 +173,43 @@ def test_ahm_finishes_the_stalled_s12_pair_to_a_50_digit_reference():
     assert np.linalg.norm(mean.array - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def test_ahm_logs_the_switch_to_the_spectrum(caplog):
-    x, y, _ = illcond_pair(0, 32)
-    with caplog.at_level(logging.DEBUG, logger="spdmeans"):
+def test_ahm_decomposes_a_fixed_number_of_matrices(count_decompositions, monkeypatch):
+    # One matrix step, then the whitened spectrum: two Cholesky
+    # factorizations (X, A_1), one eigvalsh (the step-0 gap) and one eigh
+    # (the spectrum of H_1), at 5 iterations as at 9.
+    cholesky = spd_core.np.linalg.cholesky
+
+    def counted(a):
+        count_decompositions["cholesky"] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(spd_core.np.linalg, "cholesky", counted)
+    rng = np.random.default_rng(0)
+    pairs = [(random_spd(rng, 4), random_spd(rng, 4), 5), (*illcond_pair(0, 32)[:2], 9)]
+    for x, y, iterations in pairs:
+        count_decompositions.clear()
         _, trace = ahm_iteration(x, y)
-    lines = [r.getMessage() for r in caplog.records if r.name == "spdmeans.binary_means"]
-    stalled = trace.steps[-2]  # the last matrix step; one spectral step converges
-    previous = trace.steps[-3]
-    assert lines == [f"matrix AHM step {stalled.step}: gap {stalled.error:.3e} not below the "
-                     f"previous {previous.error:.3e}, finishing on the whitened spectrum"]
-    assert stalled.error >= previous.error
-    caplog.clear()
-    ahm_iteration(x, y)  # silent at the default level
-    assert not caplog.records
+        assert trace.iterations_used == iterations
+        assert count_decompositions == {"cholesky": 2, "eigvalsh": 1, "eigh": 1}
+
+
+#: Bounds on the relative Frobenius error against the 50-digit mean, by
+#: log-spread s, fixed before the checked-in run.  Over d in {2, 3, 5, 8}
+#: and 10 seeds the maxima were 1.5e-15, 2.3e-13, 9.2e-12 and 1.9e-10.
+AHM_REFERENCE_BOUNDS = {2.0: 5e-15, 6.0: 1e-12, 8.0: 5e-11, 10.0: 1e-9}
+
+
+def test_ahm_matches_a_50_digit_reference_across_spreads():
+    # Drawn as in test_ahm_robustness_sweep: d in {2, 3, 5}, seeds 0-2.
+    for s, bound in AHM_REFERENCE_BOUNDS.items():
+        for d in (2, 3, 5):
+            for seed in range(3):
+                rng = np.random.default_rng((seed, d, round(10 * s)))
+                x, y = random_spd(rng, d, s), random_spd(rng, d, s)
+                mean, _ = ahm_iteration(x, y)
+                reference = geometric_mean_reference(x, y)
+                error = np.linalg.norm(mean.array - reference) / np.linalg.norm(reference)
+                assert error <= bound, (s, d, seed, error)
 
 
 def test_ahm_robustness_sweep():

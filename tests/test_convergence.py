@@ -7,6 +7,7 @@ from spdmeans import (
     ComplexPolar,
     DomainError,
     NonConvergenceError,
+    NumericError,
     RecursiveMeanParams,
     SampleConfig,
     WeightVector,
@@ -61,6 +62,16 @@ def test_recorder_rejects_negative_errors():
     recorder = TraceRecorder()
     with pytest.raises(ValueError):
         recorder.record(0, None, -1.0)
+
+
+@pytest.mark.parametrize("error", [math.nan, math.inf])
+def test_recorder_rejects_non_finite_errors(error):
+    # A NaN gap never meets the tolerance, so a tolerance loop would run to
+    # its cap and report "failed to reach"; a walk's trace would end in NaN.
+    for recorder in (TraceRecorder(1e-12, 10, "toy loop"), TraceRecorder(name="toy walk")):
+        assert recorder.record(0, None, 1.0)
+        with pytest.raises(NumericError, match=f"{recorder.name} step 1: error proxy is {error}"):
+            recorder.record(1, None, error)
 
 
 def test_trace_fields_and_invariants():

@@ -7,7 +7,9 @@ kernels in ``spd_core``
 array or an ``(n, d, d)`` stack) or its public operations, so a change of
 eigensolver or batching touches one module.  The inverse root has one
 home: only ``spd_core._Frame`` inverts a matrix, full or triangular
-(``np.linalg.inv`` or LAPACK ``?gesv``, ``?getri``, ``?trtri``).  The
+(``np.linalg.inv`` or LAPACK ``?gesv``, ``?getri``, ``?trtri``), and
+only it factors one (``np.linalg.cholesky`` or LAPACK ``?potrf``); a
+module that needs a Cholesky frame calls ``_Frame.cholesky``.  The
 trace contract lives in ``convergence``: only ``TraceRecorder`` decides
 ``converged`` and raises the budget-cap NonConvergenceError.  The four
 sequential walks step through a moving ``_Frame`` (one generalized
@@ -85,36 +87,58 @@ def test_ordered_sums_only_in_spd_core_ordered_sum():
 
 
 #: scipy's triangular solves; LAPACK's inverses and inverting solves
-#: (``?gesv``, ``?getri``, ``?trtri``) are matched by their suffix.
+#: (``?gesv``, ``?getri``, ``?trtri``) and Cholesky factorizations
+#: (``?potrf``) are matched by their suffix.
 TRIANGULAR_INVERSES = {"solve_triangular", "cho_solve"}
 LAPACK_INVERSES = ("gesv", "getri", "trtri")
+LAPACK_FACTORIZATIONS = ("potrf",)
 
 
-def _inverse_root_calls(path: Path) -> dict[str, list[int]]:
-    """Lines of every ``np.linalg.inv`` call, LAPACK inverse or solve
-    (``?gesv``, ``?getri``, ``?trtri``) and scipy triangular solve
-    (``solve_triangular``, ``cho_solve``) in the file, keyed by the
-    enclosing top-level class or function."""
+def _through_linalg(callee: ast.expr, name: str) -> bool:
+    """Whether the call is ``<...>.linalg.<name>`` or ``linalg.<name>``, so
+    ``np.linalg.cholesky`` matches and ``_Frame.cholesky`` does not."""
+    owner = getattr(callee, "value", None)
+    return getattr(callee, "attr", None) == name and (
+        isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+        or isinstance(owner, ast.Name) and owner.id == "linalg")
+
+
+def _inverts(callee: ast.expr, name: str) -> bool:
+    return (_through_linalg(callee, "inv") or name.endswith(LAPACK_INVERSES)
+            or name in TRIANGULAR_INVERSES)
+
+
+def _factors(callee: ast.expr, name: str) -> bool:
+    return _through_linalg(callee, "cholesky") or name.endswith(LAPACK_FACTORIZATIONS)
+
+
+def _calls(matches) -> dict[str, list[int]]:
+    """Lines of every call in the package whose callee and name satisfy
+    ``matches``, keyed by ``<file>:<enclosing top-level class or function>``."""
     found: dict[str, list[int]] = {}
-    for top in ast.parse(path.read_text(), filename=str(path)).body:
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
-            inverts = (name == "inv" and isinstance(getattr(callee, "value", None), ast.Attribute)
-                       and callee.value.attr == "linalg"
-                       or name.endswith(LAPACK_INVERSES) or name in TRIANGULAR_INVERSES)
-            if inverts:
-                found.setdefault(getattr(top, "name", "<module>"), []).append(node.lineno)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                if matches(callee, name):
+                    key = f"{path.name}:{getattr(top, 'name', '<module>')}"
+                    found.setdefault(key, []).append(node.lineno)
     return found
 
 
 def test_inverse_root_only_in_frame():
-    found = {f"{path.name}:{top}": lines for path in sorted(PACKAGE.glob("*.py"))
-             for top, lines in _inverse_root_calls(path).items()}
+    found = _calls(_inverts)
     assert found.pop("spd_core.py:_Frame", None), "the scan finds no inverse root even in _Frame"
     assert found == {}, f"a matrix is inverted outside spd_core._Frame: {found}"
+
+
+def test_factorizations_only_in_frame():
+    found = _calls(_factors)
+    assert found.pop("spd_core.py:_Frame", None), "the scan finds no factorization even in _Frame"
+    assert found == {}, f"a matrix is factored outside spd_core._Frame: {found}"
 
 
 #: NonConvergenceError raised outside convergence.py, by enclosing function.
