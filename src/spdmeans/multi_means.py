@@ -24,10 +24,12 @@ spread refuses, before any geodesic, a mean whose predicted work exceeds
 recursion level therefore runs a (k, n, d, d) stack of k tuples in
 lockstep through a stacked ``_Frame``, and recurses once per round on the
 (k n, n - 1, d, d) stack of their leave-one-out sub-tuples, whose frames
-and round-0 distances are gathered from the parents'.  An inner level
-hands back the frames of its limits, which a level with s_1 = 1 adopts as
-its new frames, so the recursion decomposes no matrix that the depth-first
-one reads from an eigen cache.  Each tuple stops at its tolerance or at
+and round-0 distances are gathered from the parents'.  A geodesic step
+hands back the frames of its endpoints, from the eigh it makes anyway,
+and an inner level those of its limits, which a level with s_1 = 1
+adopts; so after round 0 no member is decomposed for its frame, and the
+recursion reads the frames the depth-first one reads from the factors
+its geodesic endpoints cache.  Each tuple stops at its tolerance or at
 its first spread that does not fall, over arrays of spreads, and a trace
 recorder is filled from the spread history only for the top level and the
 first tuple that fails, so the means and traces are those of the
@@ -513,31 +515,30 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
     lockstep.
 
     ``mats`` is a (k, n, d, d) stack of n-tuples, ``frames`` the frames of
-    all their members or of all but the last, and ``distances`` each
-    tuple's pairwise distances rho(P_a, P_b), a < b in the order of
-    ``_index_sets``, which give the round-0 spreads.  ``recorder`` holds the
-    level's tolerance, round cap and name.  A tuple stops at a spread at
-    most the tolerance, or not below the previous round's: a stall, which
-    raises NonConvergenceError unless an inner level (``accept_stagnation``)
-    meets it below ``_STAGNATION_SPREAD_BOUND``.  A recorder is filled
-    only for a trace (``_replay``): the top level's, or that of the first
-    tuple to fail, which fails its mean at once, here or in a level below.
+    all their members, or of all but the last where no level steps with
+    s < 1, the only step that reads the last member's frame, and
+    ``distances`` each tuple's pairwise distances rho(P_a, P_b), a < b in
+    the order of ``_index_sets``, which give the round-0 spreads.
+    ``recorder`` holds the level's tolerance, round cap and name.  A tuple
+    stops at a spread at most the tolerance, or not below the previous
+    round's: a stall, which raises NonConvergenceError unless an inner
+    level (``accept_stagnation``) meets it below
+    ``_STAGNATION_SPREAD_BOUND``.  A recorder is filled only for a trace
+    (``_replay``): the top level's, or that of the first tuple to fail,
+    which fails its mean at once, here or in a level below.
 
     Each round makes one inner call per chunk of leave-one-out sub-tuples
-    (``_partners``), one stacked geodesic step with one eigh for the new
-    frames, and one eigvalsh for the distances, which the next round's
-    sub-tuples take as theirs.  At s_1 = 1 the step lands on the partners
-    and the level adopts the frames the level below hands back instead.
-    Otherwise the step builds the frames of all members but the last, all
-    the distances need.  Only a step with s < 1 reads the last member's
-    frame, here or in a level below, where that member is last too, so it
-    is built for a tuple that goes on only if such a level exists (every
-    BMP level, no ALM level).  Returns the (k, d, d) limits, the rounds the
-    tuples completed, the frames of the limits and the spread history.
+    (``_partners``), one stacked geodesic step, whose eigh also gives the
+    new members' frames (``_Frame.power_sandwich``; decomposing the new
+    members took one more eigh per round), and one eigvalsh for the
+    distances, which the next round's sub-tuples take as theirs.  At
+    s_1 = 1 the step lands on the partners and the level adopts the
+    frames ``_partners`` hands back instead.  Returns the (k, d, d)
+    limits, the rounds the tuples completed, the frames of the limits and
+    the spread history.
     """
     k, n = mats.shape[:2]
     i, j, _, _ = _index_sets(n)
-    adopt, reads_last = s_tuple[0] == 1.0, any(s < 1.0 for s in s_tuple[:-1])
     limits, limit_F, limit_G = (np.empty((k,) + mats.shape[2:]) for _ in range(3))
     live = np.arange(k)  # the tuple index of each row still iterating
     previous = np.full(k, math.inf)
@@ -572,40 +573,34 @@ def _recursive_mean(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
                 return limits, finished_rounds, _Frame._of_roots(limit_F, limit_G), history
             live, mats, frames, distances = live[going], mats[going], frames[going], distances[going]
         previous = spread[going]
-        if reads_last and frames.shape[1] < n:
-            frames = _Frame.concat([frames, _Frame(mats[:, -1:])], axis=1)
         partners, partner_frames = _partners(mats, frames, distances, s_tuple[1:],
-                                             recorder.tol, recorder.max_steps, adopt)
-        if adopt:
+                                             recorder.tol, recorder.max_steps)
+        if s_tuple[0] == 1.0:  # the step lands on the partners
             mats, frames = partners, partner_frames
         else:
-            mats = frames.power_sandwich(partners, s_tuple[0])
-            frames = _Frame(mats[:, :-1])
+            mats, frames = frames.power_sandwich(partners, s_tuple[0])
         distances = frames[:, i].distances(mats[:, j])
 
 
 def _partners(mats: np.ndarray, frames: _Frame, distances: np.ndarray,
-              s_tuple: tuple[float, ...], tol: float, max_rounds: int,
-              adopt: bool) -> tuple[np.ndarray, _Frame | None]:
+              s_tuple: tuple[float, ...], tol: float, max_rounds: int) -> tuple[np.ndarray, _Frame]:
     """The n leave-one-out means of each of k n-tuples, as a (k, n, d, d)
-    stack (sub-tuple i n + j leaves out P_j of tuple i), and their frames
-    when the level ``adopt``s them.
+    stack (sub-tuple i n + j leaves out P_j of tuple i), and their frames,
+    which a level with s_1 = 1 adopts.
 
     At n = 3 the sub-tuples are pairs, whose mean is the midpoint in closed
-    form: one sandwich X #_{1/2} Y through the frame of X.  Their frames,
-    an eigh each, are built only for an adopting level, and only for its
-    members 0..n-2: it reads no other.  Larger sub-tuples take their frames
-    and round-0 distances from the parents' and run at ``_inner_tol`` in
-    consecutive chunks of at most ``_SLICE_BYTES`` of matrices, which
-    bounds the breadth-first state of the levels below: one chunk at d = 3,
-    one sub-tuple at a time at d = 128.  Their limits' frames come back
-    with them.
+    form: one sandwich X #_{1/2} Y through the frame of X, which also
+    gives the midpoint's frame, so no partner is decomposed.  Larger
+    sub-tuples take their frames and round-0 distances from the parents'
+    and run at ``_inner_tol`` in consecutive chunks of at most
+    ``_SLICE_BYTES`` of matrices, which bounds the breadth-first state of
+    the levels below: one chunk at d = 3, one sub-tuple at a time at
+    d = 128.  Their limits' frames come back with them.
     """
     k, n = mats.shape[:2]
     _, _, rest, pairs = _index_sets(n)
     if n == 3:
-        partners = frames[:, rest[:, 0]].power_sandwich(mats[:, rest[:, 1]], 0.5)
-        return partners, _Frame(partners[:, :-1]) if adopt else None
+        return frames[:, rest[:, 0]].power_sandwich(mats[:, rest[:, 1]], 0.5)
     subs = mats[:, rest].reshape((k * n, n - 1) + mats.shape[2:])
     # without the parents' last member's frame, each sub-tuple's last is missing
     sub_frames = frames[:, rest[:, :frames.shape[1] - 1]].reshape(k * n, -1)
@@ -674,6 +669,10 @@ def recursive_geometric_mean(Ps, params: RecursiveMeanParams,
         if not recorder.record(0, None, spread):
             return SpdMatrix._frozen(mats[0, 0]), recorder.build()
         recorder.record(1, None, 0.0)
-        return SpdMatrix._frozen(frames[0, 0].power_sandwich(mats[0, 1], 0.5)), recorder.build()
+        return SpdMatrix._frozen(frames[0, 0].power_sandwich(mats[0, 1], 0.5)[0]), recorder.build()
+    if spread > tol and any(s < 1.0 for s in params.s_tuple[:-1]):
+        # a step with s < 1 reads the last member's frame, at this level or
+        # below; after round 0 every member's frame comes with it
+        frames = _Frame.concat([frames, _Frame(mats[:, -1:])], axis=1)
     limits, _, _, history = _recursive_mean(mats, frames, distances, params.s_tuple, recorder)
     return SpdMatrix._frozen(limits[0]), _replay(recorder, history, 0).build()

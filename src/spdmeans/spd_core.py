@@ -103,9 +103,14 @@ class SpdMatrix:
     ``DEFAULT_PD_TOLERANCE`` times the largest), and freezes the storage.  The
     eigendecomposition is computed lazily on first use and reused by all
     spectral operations; eigenvalues are kept in descending order.
+
+    A geodesic endpoint also caches the factor F with F F^T = the matrix
+    that its sandwich built (``_power_sandwich``), and ``_Frame`` reads it
+    instead of the eigendecomposition, so a distance or geodesic from the
+    endpoint decomposes no matrix for its frame.  ``eigen()`` is unaffected.
     """
 
-    __slots__ = ("_array", "_eig")
+    __slots__ = ("_array", "_eig", "_factor")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -126,7 +131,7 @@ class SpdMatrix:
             )
         arr.flags.writeable = False
         self._array = arr
-        self._eig = None
+        self._eig = self._factor = None
 
     @classmethod
     def _trusted(cls, arr: np.ndarray) -> "SpdMatrix":
@@ -140,7 +145,7 @@ class SpdMatrix:
         out = object.__new__(cls)
         sym.flags.writeable = False
         out._array = sym
-        out._eig = None
+        out._eig = out._factor = None
         return out
 
     @property
@@ -166,9 +171,9 @@ class SpdMatrix:
         return f"SpdMatrix(dimension={self.dimension})"
 
     def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self._array, dtype=dtype, copy=True)
-        return np.asarray(self._array, dtype=dtype)
+        """The stored array itself where no copy is needed, a copy on
+        request, and ValueError for ``copy=False`` when one is needed."""
+        return np.array(self._array, dtype=dtype, copy=copy)
 
 
 class WeightVector:
@@ -327,15 +332,23 @@ class _Frame:
     eigen or walk frame keeps F = B V diag(s) and the pencil (V, s) it came
     from, and forms G = diag(1/s) V^T only when a whitening first reads it.
 
-    A frame built from an SpdMatrix holds F = U diag(sqrt(lambda)) from its
-    cached decomposition (B = I), so no symmetric root is assembled.  A
-    frame built from an array holds the factors of every matrix of a
-    ``(..., d, d)`` stack of bases, from one eigh in the descending order of
-    ``SpdMatrix.eigen``, so each base's F and G are the ones its SpdMatrix
-    would give.  Its methods then pair the i-th base with the i-th matrix of
-    a matching stack; indexing it selects bases, and ``reshape`` and
-    ``concat`` rearrange and join such stacks, without decomposing them
-    again.
+    ``power_sandwich`` hands back the endpoint frame of X #_t Y with the
+    point: from G Y G^T = V diag(mu) V^T it forms F' = F V diag(mu^{t/2}),
+    and X #_t Y = F' F'^T.  Its G' = F'^{-1} is formed on first use, by
+    inverting F'; chaining diag(mu^{-t/2}) V^T G instead lets roundoff pile
+    up over the recursive means' rounds.  A geodesic endpoint caches F' in
+    its SpdMatrix, and the recursive means step and measure their tuples
+    from these frames.
+
+    A frame built from an SpdMatrix holds that cached F', or else
+    F = U diag(sqrt(lambda)) from its cached decomposition (B = I), so no
+    symmetric root is assembled.  A frame built from an array holds the
+    factors of every matrix of a ``(..., d, d)`` stack of bases, from one
+    eigh in the descending order of ``SpdMatrix.eigen``, so each base's F
+    and G are the ones its decomposition gives.  Its methods then pair the
+    i-th base with the i-th matrix of a matching stack; indexing it selects
+    bases, and ``reshape`` and ``concat`` rearrange and join such stacks,
+    without decomposing them again.
 
     ``_Frame.cholesky`` builds the frame of one ``(d, d)`` array from its
     Cholesky factor instead, F = L and G = L^{-1} (LAPACK trtri): one
@@ -354,12 +367,16 @@ class _Frame:
     __slots__ = ("_F", "_M", "_inverse", "_pencil", "_base")
 
     def __init__(self, base: SpdMatrix | np.ndarray):
-        """Frame of an SpdMatrix (cached decomposition) or of each matrix of
-        an array stack of SPD bases (fresh eigh)."""
+        """Frame of an SpdMatrix (its cached factor, else its cached
+        decomposition) or of each matrix of an array stack of SPD bases
+        (fresh eigh)."""
         is_matrix = isinstance(base, SpdMatrix)
-        lam, vecs = base.eigen() if is_matrix else _descending_eigh(base)
-        root = np.sqrt(lam)[..., None, :]
-        self._F, self._inverse, self._pencil = vecs * root, None, (vecs, root)
+        if is_matrix and base._factor is not None:
+            self._F, self._inverse, self._pencil = base._factor, None, None
+        else:
+            lam, vecs = base.eigen() if is_matrix else _descending_eigh(base)
+            root = np.sqrt(lam)[..., None, :]
+            self._F, self._inverse, self._pencil = vecs * root, None, (vecs, root)
         self._M, self._base = (base.array, base) if is_matrix else (base, None)
 
     @classmethod
@@ -379,19 +396,24 @@ class _Frame:
         return cls._of_roots(L, G)
 
     @classmethod
-    def _of_roots(cls, F: np.ndarray, G: np.ndarray) -> "_Frame":
+    def _of_roots(cls, F: np.ndarray, G: np.ndarray | None = None) -> "_Frame":
+        """The frame of factors F and their inverses G, or of F alone,
+        whose inverses are formed on first use."""
         out = object.__new__(cls)
         out._F, out._inverse = F, G
-        out._M = out._base = None
+        out._M = out._base = out._pencil = None
         return out
 
     @property
     def _G(self) -> np.ndarray:
-        """G = F^{-1}; an eigen or walk frame forms diag(1/s) V^T from its
-        pencil on first use."""
+        """G = F^{-1}, formed on first use: diag(1/s) V^T from an eigen or
+        walk frame's pencil, and by inverting F otherwise."""
         if self._inverse is None:
-            vecs, scale = self._pencil
-            self._inverse = (vecs / scale).mT
+            if self._pencil is None:
+                self._inverse = np.linalg.inv(self._F)
+            else:
+                vecs, scale = self._pencil
+                self._inverse = (vecs / scale).mT
         return self._inverse
 
     def __getitem__(self, index) -> "_Frame":
@@ -435,13 +457,14 @@ class _Frame:
         mu, vecs = _eigh(self.whiten(Ps))
         return _positive(mu), vecs
 
-    def power_sandwich(self, Ys: np.ndarray, t: float) -> np.ndarray:
-        """F (G Y G^T)^t F^T, symmetrized, for a (d, d) Y or each matrix of
-        a stack: X #_t Y, and Y itself at t = 1."""
-        if t == 1.0:
-            return Ys
+    def power_sandwich(self, Ys: np.ndarray, t: float) -> tuple[np.ndarray, "_Frame"]:
+        """X #_t Y = F' F'^T, symmetrized, for a (d, d) Y or each matrix of a
+        stack, and the frame of the endpoint(s), F' = F V diag(mu^{t/2})
+        from the whitened spectra (mu, V) of G Y G^T; its G' is formed on
+        first use."""
         mu, vecs = self.spectra(Ys)
-        return _symmetrize(self.lift(_assemble(vecs, np.power(mu, t))))
+        F = (self._F @ vecs) * np.power(mu, 0.5 * t)[..., None, :]
+        return _symmetrize(F @ F.mT), _Frame._of_roots(F)
 
     def distances(self, Ps: np.ndarray) -> np.ndarray:
         """rho(X, P) for a (d, d) P (a 0-d result) or each matrix of a stack."""
@@ -490,8 +513,12 @@ def riemannian_distance(P1: SpdMatrix, P2: SpdMatrix) -> float:
 
 
 def _power_sandwich(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
-    """X^{1/2} (X^{-1/2} Y X^{-1/2})^t X^{1/2} without range checks on t."""
-    return SpdMatrix._frozen(_Frame(X).power_sandwich(Y.array, t))
+    """X^{1/2} (X^{-1/2} Y X^{-1/2})^t X^{1/2} without range checks on t,
+    caching the endpoint's factor F' (see ``_Frame``)."""
+    point, frame = _Frame(X).power_sandwich(Y.array, t)
+    out = SpdMatrix._frozen(point)
+    out._factor = frame._F
+    return out
 
 
 def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
@@ -499,7 +526,10 @@ def geodesic(X: SpdMatrix, Y: SpdMatrix, t: float) -> SpdMatrix:
 
     This is the weighted matrix geometric mean with weights (1-t, t);
     t is arc length: rho(geodesic(X, Y, t), X) = t * rho(X, Y).
-    Only the segment t in [0, 1] is supported.
+    Only the segment t in [0, 1] is supported.  For 0 < t < 1 the point
+    carries the factor its sandwich built, so a distance or geodesic from
+    it makes no eigendecomposition for its frame; at t = 0 and 1 it is X or
+    Y itself.
     """
     _check_dimensions([X, Y])
     if not 0.0 <= t <= 1.0:

@@ -9,7 +9,9 @@ eigensolver or batching touches one module.  The inverse root has one
 home: only ``spd_core._Frame`` inverts a matrix, full or triangular
 (``np.linalg.inv`` or LAPACK ``?gesv``, ``?getri``, ``?trtri``), and
 only it factors one (``np.linalg.cholesky`` or LAPACK ``?potrf``); a
-module that needs a Cholesky frame calls ``_Frame.cholesky``.  The
+module that needs a Cholesky frame calls ``_Frame.cholesky``.  The factor
+a geodesic endpoint caches for its frame (``SpdMatrix._factor``) is set
+in spd_core only, so a cached frame is always the one its sandwich built.  The
 trace contract lives in ``convergence``: only ``TraceRecorder`` decides
 ``converged`` and raises the budget-cap NonConvergenceError.  The four
 sequential walks step through a moving ``_Frame`` (one generalized
@@ -139,6 +141,40 @@ def test_factorizations_only_in_frame():
     found = _calls(_factors)
     assert found.pop("spd_core.py:_Frame", None), "the scan finds no factorization even in _Frame"
     assert found == {}, f"a matrix is factored outside spd_core._Frame: {found}"
+
+
+#: The slot where an SpdMatrix caches the factor of its frame, and the calls
+#: that set or delete an attribute by name.
+FACTOR_SLOT = "_factor"
+ATTRIBUTE_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def _factor_writes(path: Path) -> list[str]:
+    """``<file>:<top-level definition>:<line>`` of every assignment to or
+    deletion of an attribute named ``FACTOR_SLOT``, directly or through
+    ``ATTRIBUTE_SETTERS`` with the name spelled out."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                writes = node.attr == FACTOR_SLOT and isinstance(node.ctx, (ast.Store, ast.Del))
+            elif isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                writes = name in ATTRIBUTE_SETTERS and any(
+                    isinstance(arg, ast.Constant) and arg.value == FACTOR_SLOT for arg in node.args)
+            else:
+                continue
+            if writes:
+                found.append(f"{path.name}:{getattr(top, 'name', '<module>')}:{node.lineno}")
+    return found
+
+
+def test_cached_factor_is_set_only_in_spd_core():
+    found = {path.name: _factor_writes(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("spd_core.py"), "the scan finds no write of the cached factor even in spd_core"
+    offenders = [ref for refs in found.values() for ref in refs]
+    assert offenders == [], f"the cached factor of an SpdMatrix is set outside spd_core: {offenders}"
 
 
 #: NonConvergenceError raised outside convergence.py, by enclosing function.

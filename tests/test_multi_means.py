@@ -833,9 +833,10 @@ def test_slow_tuple_matches_sequential_reference(seed, d):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind, n", [("alm", 4), ("bmp", 5)])
 def test_lockstep_decomposes_no_more_than_depth_first(kind, n, seed, count_decompositions):
-    # The inner levels hand back the frames of their limits and the parents
-    # hand down their distances, which is what the depth-first recursion
-    # gets from each SpdMatrix's eigen cache.
+    # The steps and inner levels hand back the frames of their endpoints and
+    # limits and the parents hand down their distances, which is what the
+    # depth-first recursion gets from each SpdMatrix's caches: a geodesic
+    # endpoint's factor, an input's eigendecomposition.
     srng = np.random.default_rng(seed)
     mats = [random_spd(srng, 3) for _ in range(n)]
     params = getattr(RecursiveMeanParams, kind)(n)
@@ -847,6 +848,40 @@ def test_lockstep_decomposes_no_more_than_depth_first(kind, n, seed, count_decom
     assert np.array_equal(mean.array, expected.array) and trace == expected_trace
     assert lockstep["eigh"] <= count_decompositions["eigh"]
     assert lockstep["eigvalsh"] <= count_decompositions["eigvalsh"]
+
+
+#: (eigh, eigvalsh) matrices of the lockstep recursion at tol 1e-10 on
+#: the sets of test_lockstep_decomposes_no_more_than_depth_first, seeds 0-3.
+#: Every geodesic endpoint carries its frame, so after round 0 no member is
+#: decomposed for its frame; the eigvalsh counts fix the rounds.
+RECURSION_DECOMPOSITIONS = {
+    ("alm", 4): [(6456, 6591), (6489, 6624), (6393, 6528), (6480, 6615)],
+    ("bmp", 5): [(1340, 820)] * 4,
+    ("bmp", 4): [(160, 96)] * 4,
+    ("alm", 3): [(104, 105), (107, 108), (104, 105), (104, 105)],
+}
+
+
+@pytest.mark.parametrize("kind, n", list(RECURSION_DECOMPOSITIONS))
+def test_recursion_decomposition_counts(kind, n, count_decompositions):
+    for seed, (eigh, eigvalsh) in enumerate(RECURSION_DECOMPOSITIONS[kind, n]):
+        srng = np.random.default_rng(seed)
+        mats = [random_spd(srng, 3) for _ in range(n)]
+        count_decompositions.clear()
+        recursive_geometric_mean(mats, getattr(RecursiveMeanParams, kind)(n), tol=1e-10)
+        assert (count_decompositions["eigh"], count_decompositions["eigvalsh"]) == (eigh, eigvalsh)
+
+
+def test_bmp_determinant_identity_holds_to_roundoff():
+    # Every BMP round keeps the mean log-determinant, so the mean meets it to
+    # roundoff.  The bound is twice the largest error of the frames' earlier
+    # design on these sets, 1.11e-14, and guards the endpoint frames' inverse.
+    for seed in range(12):
+        srng = np.random.default_rng(seed)
+        mats = [random_spd(srng, 3) for _ in range(5)]
+        mean, _ = recursive_geometric_mean(mats, RecursiveMeanParams.bmp(5), tol=1e-12)
+        target = np.mean([np.linalg.slogdet(P.array)[1] for P in mats])
+        assert abs(np.linalg.slogdet(mean.array)[1] - target) <= 2.22e-14
 
 
 def test_recursive_level_counts_rounds_in_a_python_int(rng, monkeypatch):
